@@ -144,16 +144,30 @@ def _cmd_eval(args) -> None:
     print(notation.format_dc(result))
 
 
+def _decimal_text(n: int) -> str:
+    """n written in base ten at any length: str() refuses ints past 4300
+    digits, and that process-wide limit stays as it is."""
+    digits = words.int_to_digits(abs(n), 10, words.digit_count(abs(n), 10))
+    return ("-" if n < 0 else "") + ("".join(map(str, digits)) or "0")
+
+
+def _decimal_value(text: str) -> int:
+    """The value of a run of base-ten digits at any length, as above."""
+    return words.digits_to_int(tuple(map(int, text)), 10)
+
+
 def _cmd_to_frac(args) -> None:
-    value = notation.parse(args.literal, args.base)
-    print(value.to_fraction())
+    fraction = notation.parse(args.literal, args.base).to_fraction()
+    print(f"{_decimal_text(fraction.numerator)}/{_decimal_text(fraction.denominator)}")
 
 
 def _cmd_from_frac(args) -> None:
-    m = re.fullmatch(r"\s*([+-]?\d+)\s*/\s*(\d+)\s*", args.fraction)
+    m = re.fullmatch(r"\s*([+-]?)(\d+)\s*/\s*(\d+)\s*", args.fraction)
     if not m:
         raise UsageError(f"expected U/V, got {args.fraction!r}")
-    u, v = int(m.group(1)), int(m.group(2))
+    u, v = _decimal_value(m.group(2)), _decimal_value(m.group(3))
+    if m.group(1) == "-":
+        u = -u
     if v == 0:
         raise ZeroDivisionError("zero denominator")
     print(notation.format_dc(rational.from_fraction(u, v, args.base)))

@@ -14,6 +14,7 @@ finite carry part and a rotated remainder word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .words import CircularWord, digit_char, digit_count, digits_to_int, int_to_digits
 
@@ -43,17 +44,17 @@ class DecimalNumber:
             return cls(1, (0,), 0, base)
         sign = 1 if scaled > 0 else -1
         mag = abs(scaled)
-        while point > 0:
-            q, r = divmod(mag, base)
-            if r:
-                break
-            mag = q
-            point -= 1
-        while point < 0:
-            mag *= base
-            point += 1
-        length = max(digit_count(mag, base), point)
-        return cls(sign, int_to_digits(mag, base, length), point, base)
+        if point < 0:
+            mag *= base**-point
+            point = 0
+        digits = int_to_digits(mag, base, max(digit_count(mag, base), point))
+        # trailing zeros right of the point carry no value
+        strip = point and point - len(bytes(digits[-point:]).rstrip(b"\0"))
+        if strip:
+            return cls(sign, digits[:-strip], point - strip, base)
+        number = cls(sign, digits, point, base)
+        number.__dict__["scaled"] = sign * mag  # fill the cached_property below
+        return number
 
     @classmethod
     def from_int(cls, n: int, base: int) -> "DecimalNumber":
@@ -67,7 +68,7 @@ class DecimalNumber:
     def one(cls, base: int) -> "DecimalNumber":
         return cls(1, (1,), 0, base)
 
-    @property
+    @cached_property
     def scaled(self) -> int:
         """The signed integer k with value k * base**(-point)."""
         return self.sign * digits_to_int(self.digits, self.base)

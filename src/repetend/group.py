@@ -108,7 +108,8 @@ def circular_carry_add(a: CircularWord, b: CircularWord) -> CircularWord:
             carry = total // base
         if carry == 0:
             break
-    assert carry == 0
+    if carry:
+        raise RuntimeError("circular carry did not settle")
     return CircularWord(tuple(digits), base)
 
 

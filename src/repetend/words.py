@@ -13,12 +13,18 @@ binary words avoiding the factor 11.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from . import config
 from .errors import CapacityError
 
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# Digit values to the characters int() reads; values past the alphabet
+# become "!", which int() rejects.
+_TO_ASCII = (_DIGIT_CHARS.encode() + b"!" * 256)[:256]
+# The characters str() and format() write, back to digit values.
+_FROM_ASCII = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def digit_char(d: int) -> str:
@@ -32,70 +38,263 @@ def char_digit(ch: str) -> int:
     return d
 
 
+# Words of at most this many digits are converted one digit at a time, so
+# the small-operand paths pay for no setup.
+_SMALL = 32
+# Up to this many bits str() writes base ten directly; past it CPython's
+# conversion is quadratic, and refused beyond 4300 digits.
+_STR_BITS = 12_000
+# Pieces the base-ten route hands to Decimal() whole.
+_DECIMAL_LEAF_BITS = 1_024
+# Runs of digits int() reads in one go, well inside the 4300-digit limit.
+_LEAF_DIGITS = 2_000
+# Divisions whose quotient has at most this many bits go to divmod.
+_DIV_LIMIT = 4_000
+
+
 def int_to_digits(n: int, base: int, length: int) -> tuple[int, ...]:
     """Big-endian base-`base` digits of ``n`` zero-padded to ``length``.
 
-    Splits recursively so huge values stay subquadratic.
+    Short words are read off one digit at a time.  Longer ones take one
+    of three subquadratic routes, picked by the base:
+
+    * base ten builds a ``decimal.Decimal`` by recursive bit-splitting
+      (libmpdec multiplies in number-theoretic-transform time) and reads
+      its digit tuple;
+    * a power-of-two base slices the binary expansion, in linear time;
+    * any other base splits recursively at powers of the base, cached per
+      call, dividing by Burnikel-Ziegler recursion.
+
+    ``CircularWord.from_int`` keeps ``n`` as the word's valuation, so a
+    word built here is not read back through :func:`digits_to_int`.
     """
     if n < 0:
         raise ValueError("negative value has no digit word")
-    if length == 0:
-        if n:
-            raise ValueError(f"{n} does not fit in 0 digits")
-        return ()
-    if n >= base**length:
-        raise ValueError(f"{n} does not fit in {length} base-{base} digits")
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if length <= _SMALL:
+        if n >= base**length:
+            raise _overflow(n, base, length)
+        out = [0] * length
+        i = length
+        while n:
+            i -= 1
+            n, out[i] = divmod(n, base)
+        return tuple(out)
+    if base == 10:
+        digits = _decimal_digits(n)
+    elif base & (base - 1) == 0 and base <= 256:  # letters fit in a byte
+        digits = _binary_digits(n, base.bit_length() - 1)
+    else:
+        return _split_digits(n, base, length)
+    if len(digits) > length:
+        raise _overflow(n, base, length)
+    return (0,) * (length - len(digits)) + digits
+
+
+def _overflow(n: int, base: int, length: int) -> ValueError:
+    shown = n if n.bit_length() <= 64 else f"a {n.bit_length()}-bit value"
+    return ValueError(f"{shown} does not fit in {length} base-{base} digits")
+
+
+def _binary_digits(n: int, k: int) -> tuple[int, ...]:
+    """Digits of n in base 2**k: the binary expansion, cut into k-bit
+    letters.  Each letter gets one byte: the j-th bits of all letters are
+    one stride of the bit string, and shifting their strides into one
+    integer never carries across bytes since letters are below 256."""
+    bits = format(n, "b").encode().translate(_FROM_ASCII)
+    if len(bits) % k:
+        bits = bytes(k - len(bits) % k) + bits
+    letters = 0
+    for j in range(k):
+        letters = (letters << 1) | int.from_bytes(bits[j::k], "big")
+    return tuple(letters.to_bytes(len(bits) // k, "big"))
+
+
+def _decimal_digits(n: int) -> tuple[int, ...]:
+    """Base-ten digits of n >= 0, no leading zeros."""
+    if n.bit_length() <= _STR_BITS:
+        return tuple(str(n).encode().translate(_FROM_ASCII))
+    import decimal
+
+    # exact arithmetic in a context of its own, whatever the caller's is
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact],
+    )
+    return _to_decimal(n, n.bit_length(), ctx, _TwoPowers(ctx)).as_tuple().digits
+
+
+def _to_decimal(n: int, w: int, ctx, two_powers: "_TwoPowers"):
+    """n < 2**w as a Decimal: the two halves of its bits, joined by one
+    multiplication in libmpdec."""
+    if w <= _DECIMAL_LEAF_BITS:
+        return ctx.create_decimal(n)
+    half = w >> 1
+    hi = n >> half
+    low = _to_decimal(n - (hi << half), half, ctx, two_powers)
+    high = _to_decimal(hi, w - half, ctx, two_powers)
+    return ctx.add(low, ctx.multiply(high, two_powers[half]))
+
+
+class _TwoPowers(dict):
+    """2**w as Decimals, each built from ones already there."""
+
+    def __init__(self, ctx):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, w: int):
+        if w <= _DECIMAL_LEAF_BITS:
+            p = self.ctx.create_decimal(1 << w)
+        elif w - 1 in self:
+            p = self.ctx.add(self[w - 1], self[w - 1])
+        else:
+            p = self.ctx.multiply(self[w >> 1], self[w - (w >> 1)])
+        self[w] = p
+        return p
+
+
+class _Powers(dict):
+    """base**k for the sizes one recursive split asks for, each built from
+    ones already there, so the split pays for every distinct size once."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, k: int) -> int:
+        if k <= _SMALL:
+            p = self.base**k
+        elif k - 1 in self:
+            p = self[k - 1] * self.base
+        else:
+            p = self[k >> 1] * self[k - (k >> 1)]
+        self[k] = p
+        return p
+
+
+def _split_digits(n: int, base: int, length: int) -> tuple[int, ...]:
+    """Digits of n by halving the word at powers of the base."""
+    powers = _Powers(base)
+    # n < 2**(bits) rules out an overflow without building base**length
+    if n.bit_length() >= length * math.log2(base) - 1 and n >= powers[length]:
+        raise _overflow(n, base, length)
     out = [0] * length
-
-    def rec(n: int, lo: int, hi: int) -> None:
-        if hi - lo <= 32:
-            i = hi - 1
-            while n:
-                n, d = divmod(n, base)
-                out[i] = d
-                i -= 1
-            return
-        half = (hi - lo) // 2
-        hi_part, lo_part = divmod(n, base**half)
-        rec(hi_part, lo, hi - half)
-        rec(lo_part, hi - half, hi)
-
-    rec(n, 0, length)
+    _split_into(out, n, 0, length, powers)
     return tuple(out)
 
 
+def _split_into(out: list, n: int, lo: int, hi: int, powers: _Powers) -> None:
+    if hi - lo <= _SMALL:
+        base = powers.base
+        i = hi
+        while n:
+            i -= 1
+            n, out[i] = divmod(n, base)
+        return
+    # the low part takes the larger half, so the quotient fits the
+    # divisor's size as _div2n1n requires
+    half = (hi - lo + 1) // 2
+    divisor = powers[half]
+    hi_part, lo_part = _div2n1n(n, divisor, divisor.bit_length())
+    _split_into(out, hi_part, lo, hi - half, powers)
+    _split_into(out, lo_part, hi - half, hi, powers)
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """Burnikel-Ziegler recursive division of a < 2**n * b by the n-bit b:
+    two divisions of 3/2 size, each made of one half-size recursion and
+    one multiplication."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    if pad:
+        r >>= 1
+    return q1 << half | q2, r
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def digits_to_int(digits, base: int) -> int:
-    """Positional value of a big-endian digit sequence (empty -> 0)."""
+    """Positional value of a big-endian digit sequence (empty -> 0).
 
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo <= 32:
-            acc = 0
-            for i in range(lo, hi):
-                acc = acc * base + digits[i]
-            return acc
-        mid = (lo + hi + 1) // 2
-        return rec(lo, mid) * base ** (hi - mid) + rec(mid, hi)
+    ``int`` reads runs of up to a few thousand digits, and a power-of-two
+    base at any length, in C; longer runs in other bases are halved
+    recursively and joined with powers of the base cached per call.
+    Bases past the 36-letter alphabet (block letters of the circular
+    product) take the same split with digit-by-digit leaves.
+    """
+    if len(digits) <= _SMALL:
+        return _horner(digits, base)
+    if base > len(_DIGIT_CHARS):
+        return _join(digits, 0, len(digits), _Powers(base), _SMALL, _horner)
+    text = bytes(digits).translate(_TO_ASCII)
+    if base & (base - 1) == 0:
+        return int(text, base)
+    return _join(text, 0, len(text), _Powers(base), _LEAF_DIGITS, int)
 
-    return rec(0, len(digits)) if digits else 0
+
+def _join(digits, lo: int, hi: int, powers: _Powers, leaf: int, read) -> int:
+    if hi - lo <= leaf:
+        return read(digits[lo:hi], powers.base)
+    mid = (lo + hi + 1) // 2
+    high = _join(digits, lo, mid, powers, leaf, read)
+    return high * powers[hi - mid] + _join(digits, mid, hi, powers, leaf, read)
+
+
+def _horner(digits, base: int) -> int:
+    acc = 0
+    for d in digits:
+        acc = acc * base + d
+    return acc
 
 
 def digit_count(n: int, base: int) -> int:
-    """Number of base-`base` digits of n >= 0 (0 counts as none)."""
+    """Number of base-`base` digits of n >= 0 (0 counts as none).
+
+    Estimated from the bit length and settled by comparing with powers
+    of the base: the estimate is off by at most one.
+    """
     if n < 0:
         raise ValueError("digit_count needs n >= 0")
     if n == 0:
         return 0
-    count = 1
-    power, exp = base, 1
-    stack = []
-    while power <= n:
-        stack.append((power, exp))
-        power, exp = power * power, exp * 2
-    for power, exp in reversed(stack):
-        if power <= n:
-            n //= power
-            count += exp
+    count = int((n.bit_length() - 1) / math.log2(base)) + 1
+    while count > 1 and base ** (count - 1) > n:
+        count -= 1
+    while base**count <= n:
+        count += 1
     return count
+
+
+def _repunit(block: int, n: int) -> int:
+    """1 + block + ... + block**(n-1), doubling the count: no division."""
+    if n == 1:
+        return 1
+    half = n >> 1
+    ones = _repunit(block, half)
+    ones += ones * block**half
+    return ones * block + 1 if n & 1 else ones
 
 
 def _check_digits(digits: tuple[int, ...], base: int) -> None:
@@ -149,7 +348,12 @@ class FiniteWord:
 
 @dataclass(frozen=True)
 class CircularWord:
-    """A nonempty digit word indexed cyclically."""
+    """A nonempty digit word indexed cyclically.
+
+    Its valuation N(w) is read from the digits at most once and cached;
+    ``from_int`` and ``repeat``/``lift`` fill it from the integer they
+    start from, so those words never read their digits back.
+    """
 
     digits: tuple[int, ...]
     base: int
@@ -161,7 +365,9 @@ class CircularWord:
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "CircularWord":
-        return cls(int_to_digits(n, base, length), base)
+        word = cls(int_to_digits(n, base, length), base)
+        word.__dict__["valuation"] = n  # fill the cached_property below
+        return word
 
     @cached_property
     def valuation(self) -> int:
@@ -181,7 +387,15 @@ class CircularWord:
         if n < 1:
             raise ValueError("repetition count must be >= 1")
         config.check_period(len(self.digits) * n)
-        return CircularWord(self.digits * n, self.base)
+        if n == 1:
+            return self
+        word = CircularWord(self.digits * n, self.base)
+        value = self.__dict__.get("valuation")
+        if value is not None:
+            # N(w^n) = N(w) * (1 + B + ... + B**(n-1)) with B = b**len(w)
+            block = self.base ** len(self.digits)
+            word.__dict__["valuation"] = value and value * _repunit(block, n)
+        return word
 
     def lift(self, length: int) -> "CircularWord":
         """Repeat up to ``length`` digits; ``length`` must be a multiple."""
@@ -268,9 +482,11 @@ def fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
             constant_count += 1
         else:
             # p prime: a nonconstant word is fixed by no nontrivial rotation.
-            assert size == p
+            if size != p:
+                raise RuntimeError(f"orbit of size {size} under rotation by {p}")
             orbit_count += 1
-    assert total == orbit_count * p + constant_count
+    if total != orbit_count * p + constant_count:
+        raise RuntimeError(f"{b}**{p} != {orbit_count}*{p} + {constant_count}")
     return orbit_count, constant_count
 
 
@@ -292,7 +508,7 @@ def count_cyclic_binary_avoiding_11(length: int) -> int:
 def lucas_orbit_count(p: int) -> int:
     """Count cyclic binary words of prime length p avoiding the factor 11.
 
-    The count satisfies ``count % p == 1``, which the function asserts; the
+    The count satisfies ``count % p == 1``, which the function checks; the
     same orbit argument as :func:`fermat_orbit_count` applies because the
     constraint is rotation-invariant and only the two constant words 0...0
     and 1...1 could be fixed by a rotation (1...1 is excluded, 0...0 kept).
@@ -300,5 +516,6 @@ def lucas_orbit_count(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"need a prime length, got {p}")
     count = count_cyclic_binary_avoiding_11(p)
-    assert count % p == 1, f"count {count} not congruent to 1 mod {p}"
+    if count % p != 1:
+        raise RuntimeError(f"count {count} not congruent to 1 mod {p}")
     return count

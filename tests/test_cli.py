@@ -2,6 +2,15 @@ import pytest
 
 from repetend import notation
 from repetend.cli import run
+from repetend.oracle import Fraction
+
+
+def _read_decimal(text: str) -> int:
+    """Digit by digit: int() refuses strings past 4300 digits."""
+    value = 0
+    for ch in text:
+        value = value * 10 + "0123456789".index(ch)
+    return value
 
 
 def invoke(capsys, *argv):
@@ -73,6 +82,20 @@ class TestVerbs:
 
     def test_from_frac(self, capsys):
         assert invoke(capsys, "from-frac", "1/240")[:2] == (0, "0.0041(6)\n")
+
+    def test_to_frac_past_int_str_limit(self, capsys):
+        code, out, _ = invoke(capsys, "to-frac", "0.(" + "0" * 4399 + "1)")
+        assert code == 0
+        num, den = out.strip().split("/")
+        assert Fraction(_read_decimal(num), _read_decimal(den)) == Fraction(
+            1, 10**4400 - 1
+        )
+
+    def test_from_frac_long_numerator(self, capsys):
+        code, out, _ = invoke(capsys, "from-frac", "7" * 5000 + "/3")
+        assert code == 0
+        sevens = (10**5000 - 1) // 9 * 7
+        assert notation.parse(out.strip()).to_fraction() == Fraction(sevens, 3)
 
     def test_from_frac_rejects_junk(self, capsys):
         assert invoke(capsys, "from-frac", "1:3")[0] == 1

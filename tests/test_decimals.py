@@ -65,6 +65,17 @@ class TestCanonicalForm:
         )
         assert padded.canonical() == x
 
+    @pytest.mark.parametrize("base", [2, 10, 36])
+    def test_long_values_strip_and_scale(self, base):
+        core = 7**2000  # no factor of 2 or 3: nothing of it strips
+        x = DecimalNumber.from_scaled(-core * base**500, 700, base)
+        assert (x.sign, x.point) == (-1, 200)
+        assert x.digits[-1] != 0
+        assert x.scaled == DecimalNumber(-1, x.digits, 200, base).scaled == -core
+        y = DecimalNumber.from_scaled(core, -300, base)
+        assert y.point == 0 and y.digits[-300:] == (0,) * 300
+        assert y.scaled == DecimalNumber(1, y.digits, 0, base).scaled == core * base**300
+
     def test_rendering(self):
         assert str(dec("24.181")) == "24.181"
         assert str(dec("-0.3")) == "-0.3"

@@ -1,12 +1,20 @@
+import math
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw, fw
+from repetend import words
 from repetend.errors import CapacityError
 from repetend.words import (
     CircularWord,
     FiniteWord,
     count_cyclic_binary_avoiding_11,
+    digit_count,
     digits_to_int,
     fermat_orbit_count,
     int_to_digits,
@@ -115,6 +123,146 @@ class TestDigitsConversion:
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             int_to_digits(100, 10, 2)
+
+
+def _reference_digits(n, base, length):
+    """Schoolbook conversion: peel machine-word chunks off the low end,
+    then the digits of each chunk one divmod at a time."""
+    per_chunk = max(1, int(60 / math.log2(base)))
+    out = []
+    while len(out) < length:
+        n, chunk = divmod(n, base**per_chunk)
+        for _ in range(per_chunk):
+            chunk, d = divmod(chunk, base)
+            out.append(d)
+    assert n == 0 and not any(out[length:])
+    return tuple(reversed(out[:length]))
+
+
+def _reference_value(digits, base):
+    """Horner's rule, one digit at a time."""
+    acc = 0
+    for d in digits:
+        acc = acc * base + d
+    return acc
+
+
+def _threshold_lengths(base):
+    """Word lengths on both sides of every size at which the conversion
+    routes change."""
+    bits_per_digit = math.log2(base)
+    sizes = {
+        words._SMALL,
+        words._LEAF_DIGITS,
+        math.ceil(words._STR_BITS / bits_per_digit),
+        math.ceil(words._DECIMAL_LEAF_BITS / bits_per_digit),
+        math.ceil(2 * words._DIV_LIMIT / bits_per_digit),
+    }
+    return sorted({0, 1} | {s + d for s in sizes for d in (-1, 0, 1)})
+
+
+class TestConversionKernel:
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_round_trip_against_reference(self, base):
+        rng = random.Random(base)
+        for length in _threshold_lengths(base):
+            top = base**length
+            values = {0, top - 1, rng.randrange(top), top // base}
+            for n in values:
+                digits = int_to_digits(n, base, length)
+                assert digits == _reference_digits(n, base, length)
+                assert digits_to_int(digits, base) == n
+                assert _reference_value(digits, base) == n
+            with pytest.raises(ValueError):
+                int_to_digits(top, base, length)
+
+    @pytest.mark.parametrize("base", [10, 16, 36])
+    def test_long_word_per_route(self, base):
+        length = 100_000
+        n = random.Random(length).randrange(base**length)
+        digits = int_to_digits(n, base, length)
+        assert digits == _reference_digits(n, base, length)
+        assert digits_to_int(digits, base) == n
+        assert int_to_digits(base**length - 1, base, length) == (base - 1,) * length
+        with pytest.raises(ValueError):
+            int_to_digits(base**length, base, length)
+
+    def test_recursive_division_against_divmod(self):
+        rng = random.Random(7)
+        for bits in (3 * words._DIV_LIMIT, 5 * words._DIV_LIMIT + 1):
+            b = rng.getrandbits(bits) | 1 << (bits - 1)
+            top = b << bits  # the dividend must stay below b * 2**bits
+            for a in (0, b - 1, b, top - 1, top - b, rng.randrange(top)):
+                assert words._div2n1n(a, b, bits) == divmod(a, b)
+
+    def test_base_ten_route_ignores_caller_context(self):
+        import decimal
+
+        n = 7 ** (2 * words._STR_BITS)
+        length = digit_count(n, 10)
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            digits = int_to_digits(n, 10, length)
+            assert decimal.getcontext().prec == 5
+        assert digits == _reference_digits(n, 10, length)
+
+    @pytest.mark.parametrize("base", [64, 100, 256, 512])
+    def test_bases_past_the_alphabet(self, base):
+        n = random.Random(base).randrange(base**300)
+        digits = int_to_digits(n, base, 300)
+        assert digits == _reference_digits(n, base, 300)
+        assert digits_to_int(digits, base) == _reference_value(digits, base) == n
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_digit_count(self, base):
+        for n in (1, base - 1, base, base + 1, base**50 - 1, base**50, 7**300):
+            padded = _reference_digits(n, base, 1000)
+            assert digit_count(n, base) == len(bytes(padded).lstrip(b"\0"))
+
+
+class TestValuationCarry:
+    @pytest.mark.parametrize(
+        "base,length", [(10, 5), (10, 40), (36, 700), (2, 33), (7, 2500)]
+    )
+    def test_from_int_keeps_its_value(self, base, length):
+        n = random.Random(length).randrange(base**length)
+        word = CircularWord.from_int(n, base, length)
+        assert word.__dict__["valuation"] == n
+        assert CircularWord(word.digits, base).valuation == n
+
+    @pytest.mark.parametrize(
+        "base,length,target",
+        [(10, 5, 40), (10, 1, 97), (36, 3, 300), (2, 40, 4000), (7, 37, 37), (10, 4, 12)],
+    )
+    def test_lift_carries_the_value(self, base, length, target):
+        for n in (0, 1, base**length - 1, random.Random(target).randrange(base**length)):
+            lifted = CircularWord.from_int(n, base, length).lift(target)
+            assert "valuation" in lifted.__dict__
+            assert lifted.valuation == CircularWord(lifted.digits, base).valuation
+
+    def test_lift_of_unread_word_stays_lazy(self):
+        lifted = cw("142857").lift(60)
+        assert "valuation" not in lifted.__dict__
+        assert lifted.valuation == 142857 * (10**60 - 1) // (10**6 - 1)
+
+
+class TestInvariantChecks:
+    def test_orbit_check_survives_optimize_flag(self):
+        """Under -O a broken count must still raise, not return."""
+        script = (
+            "import sys\n"
+            "from repetend import words\n"
+            "words.count_cyclic_binary_avoiding_11 = lambda length: 2\n"
+            "try:\n"
+            "    words.lucas_orbit_count(5)\n"
+            "except RuntimeError:\n"
+            "    sys.exit(0 if sys.flags.optimize else 3)\n"
+            "sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(words.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+        assert done.returncode == 0
 
 
 def _orbits_by_enumeration(b, p):
