@@ -6,8 +6,6 @@ from .errors import CapacityError
 from .group import (
     GroupElement,
     StarElement,
-    circular_carry_add,
-    circular_product_expanded,
     single_letter_multiplier,
 )
 from .numtheory import (
@@ -15,8 +13,6 @@ from .numtheory import (
     UnitaryPolynomial,
     classify_root,
     classify_root_decimal,
-    general_square_length,
-    lcm_divisibility,
     multiplicative_order,
     period_growth,
     period_length,
@@ -59,16 +55,12 @@ __all__ = [
     "UnitaryPolynomial",
     "WcpNumber",
     "cancellation_demo",
-    "circular_carry_add",
-    "circular_product_expanded",
     "classify_root",
     "classify_root_decimal",
     "count_cyclic_binary_avoiding_11",
     "dc_from_wcp",
     "fermat_orbit_count",
     "from_fraction",
-    "general_square_length",
-    "lcm_divisibility",
     "lucas_orbit_count",
     "multiplicative_order",
     "period_growth",

@@ -189,14 +189,13 @@ def _cmd_compare(args) -> None:
 
 def _cmd_period_length(args) -> None:
     report = numtheory.period_length(args.v, args.base)
-    print(
-        f"aperiodic={report.aperiodic_len} period={report.period_len} "
-        f"witness={report.witness}"
-    )
+    period, witness = _decimal_text(report.period_len), _decimal_text(report.witness)
+    print(f"aperiodic={report.aperiodic_len} period={period} witness={witness}")
 
 
 def _cmd_product_length(args) -> None:
-    print(numtheory.product_period_length(args.length, args.length2, args.base))
+    length = numtheory.product_period_length(args.length, args.length2, args.base)
+    print(_decimal_text(length))
 
 
 def _cmd_fermat(args) -> None:

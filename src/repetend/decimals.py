@@ -188,4 +188,6 @@ def scalar_action(
     q2, r2 = divmod(d.scaled * p.valuation * base ** (ell * lifts - d.point), m)
     repunit = (base ** (ell * lifts) - 1) // m
     carry = DecimalNumber.from_scaled(q2 - r2 * repunit, ell * lifts, base)
+    if r2 == p.valuation:  # same value, so the same digits: no conversion
+        return carry, p
     return carry, CircularWord.from_int(r2, base, ell)

@@ -177,14 +177,22 @@ class StarElement:
         u2, v2 = other._reduced_value()
         u, v = u1 * u2, v1 * v2
         g = gcd(u, v)
-        u, v = u // g, v // g
-        length = multiplicative_order(self.base, v, max_order=config.period_cap)
-        config.check_period(length, "product period")
-        value = u * (self.base**length - 1) // v
-        return StarElement(CircularWord.from_int(value, self.base, length))
+        return StarElement(repeating_word(u // g, v // g, self.base))
 
     def __str__(self) -> str:
         return f"{self.representative}~"
+
+
+def repeating_word(u: int, v: int, base: int) -> CircularWord:
+    """The period of u/v as a circular word, for 0 <= u <= v with v
+    coprime to the base.
+
+    Its length is ell = ord_base(v) and its value u * (base**ell - 1) / v,
+    so for u/v in lowest terms it is primitive (u == v gives the
+    all-(base-1) letter).  The order is capped; see multiplicative_order.
+    """
+    ell = multiplicative_order(base, v)
+    return CircularWord.from_int(u * ((base**ell - 1) // v), base, ell)
 
 
 def single_letter_multiplier(base: int) -> int:

@@ -13,8 +13,9 @@ from math import ceil, gcd, lcm
 from . import config
 from .errors import CapacityError
 
-# Below this modulus the multiplicative order is computed exactly via
-# factorization; above it we fall back to stepping powers, capped.
+# Up to this modulus the multiplicative order comes from factoring the
+# modulus and its Carmichael exponent; above it, from stepping powers.
+# Either way an order beyond the period cap raises CapacityError.
 _SMALL_ORDER_LIMIT = 10**9
 
 
@@ -57,12 +58,13 @@ def _carmichael(factors: dict[int, int]) -> int:
     return lam
 
 
-def multiplicative_order(b: int, v: int, max_order: int | None = None) -> int:
+def multiplicative_order(b: int, v: int) -> int:
     """Smallest ell >= 1 with b**ell == 1 (mod v); requires gcd(b, v) == 1.
 
-    Exact via factorization for moderate v; for huge moduli the order is
-    found by stepping powers and a cap turns runaway searches into an
-    explicit capacity error.
+    This is the period length of every reduced u/v in base b.  Exact via
+    factorization for moderate v; for huge moduli the order is found by
+    stepping powers, which stops at the period cap.  An order beyond
+    ``config.period_cap`` raises :class:`CapacityError` in both regimes.
     """
     if v < 1:
         raise ValueError("modulus must be >= 1")
@@ -70,21 +72,23 @@ def multiplicative_order(b: int, v: int, max_order: int | None = None) -> int:
         return 1
     if gcd(b, v) != 1:
         raise ValueError(f"{b} is not invertible modulo {v}")
+    cap = config.period_cap
     if v <= _SMALL_ORDER_LIMIT:
         order = _carmichael(factorize(v))
         for q in factorize(order):
             while order % q == 0 and pow(b, order // q, v) == 1:
                 order //= q
-        return order
-    cap = config.period_cap if max_order is None else max_order
-    acc = b % v
-    k = 1
-    while acc != 1:
-        k += 1
-        if k > cap:
-            raise CapacityError(f"multiplicative order of {b} mod {v} exceeds {cap}")
-        acc = acc * b % v
-    return k
+        if order <= cap:
+            return order
+    else:
+        acc = b % v
+        order = 1
+        while acc != 1 and order < cap:
+            order += 1
+            acc = acc * b % v
+        if acc == 1:
+            return order
+    raise CapacityError(f"multiplicative order of {b} mod {v} exceeds {cap}")
 
 
 def split_denominator(v: int, b: int) -> tuple[int, int]:
@@ -182,27 +186,20 @@ def general_square_length(b: int) -> int:
 
 
 def integer_nth_root(m: int, n: int) -> int | None:
-    """Exact r with r**n == m for m >= 0, or None."""
+    """Exact r with r**n == m for m >= 0, or None.
+
+    Integer Newton from 2**ceil(bits/n), which is at least the root, so
+    the iterates fall monotonically to floor(m**(1/n)); no floats, so any
+    size works.
+    """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     if m in (0, 1):
         return m
-    r = int(round(m ** (1.0 / n)))
-    for cand in range(max(r - 2, 1), r + 3):
-        if cand**n == m:
-            return cand
-    # float seed can be off for big m; fall back to bisection
-    lo, hi = 1, 1 << (m.bit_length() // n + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**n
-        if p == m:
-            return mid
-        if p < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    r = 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = s
+    return r if r**n == m else None
 
 
 @dataclass(frozen=True)

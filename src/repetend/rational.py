@@ -29,9 +29,8 @@ from math import gcd, lcm
 
 from . import config
 from .decimals import DecimalNumber, scalar_action
-from .errors import CapacityError
-from .group import StarElement
-from .numtheory import multiplicative_order
+from .group import StarElement, repeating_word
+from .numtheory import split_denominator
 from .oracle import Fraction
 from .words import (
     CircularWord,
@@ -296,69 +295,13 @@ class WcpNumber:
         return WcpNumber(-self.sign, self.aperiodic, self.period, self.point)
 
     def __add__(self, other: "WcpNumber") -> "WcpNumber":
-        xa, ya = align(self, other)
-        base = xa.base
-        length = len(xa.period)
-        m = base**length - 1
-        if xa.sign == ya.sign:
-            carry, rest = _carry_split(
-                xa.period.valuation + ya.period.valuation, m
-            )
-            whole = xa.aperiodic_value + ya.aperiodic_value + carry
-            return WcpNumber(
-                xa.sign,
-                _word_digits(whole, base),
-                CircularWord.from_int(rest, base, length),
-                xa.point,
-            ).canonical()
-        key_x = (xa.aperiodic_value, xa.period.valuation)
-        key_y = (ya.aperiodic_value, ya.period.valuation)
-        if key_x == key_y:
-            return WcpNumber.zero(base)
-        (big, small) = (xa, ya) if key_x > key_y else (ya, xa)
-        borrow = 1 if big.period.valuation < small.period.valuation else 0
-        whole = big.aperiodic_value - small.aperiodic_value - borrow
-        rest = (big.period.valuation - small.period.valuation) % m
-        return WcpNumber(
-            big.sign,
-            _word_digits(whole, base),
-            CircularWord.from_int(rest, base, length),
-            xa.point,
-        ).canonical()
+        return wcp_from_dc(dc_from_wcp(self) + dc_from_wcp(other))
 
     def __sub__(self, other: "WcpNumber") -> "WcpNumber":
         return self + (-other)
 
     def __mul__(self, other: "WcpNumber") -> "WcpNumber":
-        """Product on magnitudes: whole*whole plus the integer actions of
-        each whole part on the other period, plus the circular product of
-        the periods; periodic contributions summed at one common length
-        with their carry joining the whole part."""
-        if self.base != other.base:
-            raise ValueError(f"mixed bases {self.base} and {other.base}")
-        base = self.base
-        x, y = self.canonical(), other.canonical()
-        sign = x.sign * y.sign
-        m_x = base ** len(x.period) - 1
-        m_y = base ** len(y.period) - 1
-        q1, r1 = _carry_split(x.aperiodic_value * y.period.valuation, m_y)
-        q2, r2 = _carry_split(y.aperiodic_value * x.period.valuation, m_x)
-        prod = (StarElement.of(x.period) * StarElement.of(y.period)).representative
-        length = lcm(len(y.period), len(x.period), len(prod))
-        config.check_period(length, "lifted product")
-        m = base**length - 1
-        total = (
-            r1 * (m // m_y) + r2 * (m // m_x) + prod.lift(length).valuation
-        )
-        carry, rest = _carry_split(total, m)
-        whole = x.aperiodic_value * y.aperiodic_value + q1 + q2 + carry
-        result = WcpNumber(
-            sign,
-            _word_digits(whole, base),
-            CircularWord.from_int(rest, base, length),
-            x.point + y.point,
-        ).canonical()
-        return result
+        return wcp_from_dc(dc_from_wcp(self) * dc_from_wcp(other))
 
     def __str__(self) -> str:
         sign = "+" if self.sign > 0 else "-"
@@ -455,12 +398,14 @@ def dc_from_wcp(x: WcpNumber) -> DcNumber:
 
 
 def from_ratio(num: int, den: int, base: int) -> DcNumber:
-    """Long division of num/den with remainder-cycle detection.
+    """The canonical expansion of num/den, in closed form.
 
-    Digits are produced left to right; the first remainder seen twice
-    closes the period (there are only den distinct remainders, so this
-    terminates).  The detected tail is reassembled exactly into the
-    canonical pair.
+    In lowest terms write den = c * v' with v' the part coprime to the
+    base and c dividing base**t, t minimal.  Then num/den is
+    (whole + r/v') / base**t, where whole and r come from one division
+    of num * base**t / c by v'.  r/v' is purely periodic: its period is
+    the circular word of length ord_base(v') (``repeating_word``), which
+    the scalar action of base**-t moves behind the t finite digits.
     """
     if den == 0:
         raise ZeroDivisionError("zero denominator")
@@ -469,44 +414,12 @@ def from_ratio(num: int, den: int, base: int) -> DcNumber:
     negative = (num < 0) != (den < 0)
     num, den = abs(num), abs(den)
     g = gcd(num, den)
-    if g > 1:
-        num, den = num // g, den // g
-    whole, r = divmod(num, den)
-
-    # the aperiodic tail cannot outlast the base factors of the divisor
-    aperiodic_bound = 0
-    probe = den
-    while (g := gcd(probe, base)) > 1:
-        while probe % g == 0:
-            probe //= g
-            aperiodic_bound += 1
-    if probe <= 10**9:
-        # cheap exact period length; fail fast instead of walking the cap
-        config.check_period(multiplicative_order(base, probe), "expansion period")
-    limit = aperiodic_bound + config.period_cap + 1
-
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    while r not in seen:
-        if len(digits) > limit:
-            raise CapacityError(f"expansion period of 1/{den} exceeds cap")
-        seen[r] = len(digits)
-        r *= base
-        d, r = divmod(r, den)
-        digits.append(d)
-    start = seen[r]
-    aperiodic, periodic = digits[:start], digits[start:]
-    config.check_period(len(periodic), "detected period")
-
-    finite = DecimalNumber.from_scaled(
-        whole * base ** len(aperiodic) + digits_to_int(aperiodic, base),
-        len(aperiodic),
-        base,
-    )
-    period_word = CircularWord(tuple(periodic), base)
-    carry, circ = scalar_action(
-        DecimalNumber.from_scaled(1, len(aperiodic), base), period_word
-    )
+    num, den = num // g, den // g
+    t, coprime = split_denominator(den, base)
+    whole, r = divmod(num * (base**t // (den // coprime)), coprime)
+    finite = DecimalNumber.from_scaled(whole, t, base)
+    scale = DecimalNumber.from_scaled(1, t, base)
+    carry, circ = scalar_action(scale, repeating_word(r, coprime, base))
     value = DcNumber(finite + carry, circ).canonical()
     return -value if negative else value
 

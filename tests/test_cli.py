@@ -1,6 +1,6 @@
 import pytest
 
-from repetend import notation
+from repetend import notation, words
 from repetend.cli import run
 from repetend.oracle import Fraction
 
@@ -123,6 +123,31 @@ class TestVerbs:
 
     def test_product_length(self, capsys):
         assert invoke(capsys, "product-length", "2", "2")[:2] == (0, "198\n")
+
+    def test_period_length_past_int_str_limit(self, capsys):
+        code, out, _ = invoke(capsys, "period-length", "20047")
+        assert code == 0
+        fields = dict(field.split("=") for field in out.split())
+        assert fields["period"] == "20046"
+        witness = words.digits_to_int(tuple(map(int, fields["witness"])), 10)
+        assert witness * 20047 == 10**20046 - 1
+
+    def test_product_length_past_int_str_limit(self, capsys):
+        code, out, _ = invoke(capsys, "product-length", "5000", "5000")
+        assert code == 0
+        value = words.digits_to_int(tuple(map(int, out.strip())), 10)
+        assert value == (10**5000 - 1) * 5000
+
+    def test_period_length_past_the_cap(self, capsys):
+        code, out, err = invoke(capsys, "period-length", "999999937")
+        assert (code, out) == (3, "")
+        assert "capacity" in err
+
+    def test_irrational_check_past_float_range(self, capsys):
+        polynomial = "x^2-1" + "0" * 400 + ".0001"
+        code, out, err = invoke(capsys, "irrational-check", polynomial)
+        assert (code, err) == (0, "")
+        assert "irrational" in out
 
     def test_fermat(self, capsys):
         code, out, _ = invoke(capsys, "fermat", "--base", "10", "2")

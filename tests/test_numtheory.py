@@ -4,7 +4,9 @@ from math import gcd, lcm
 import pytest
 
 from conftest import cw
+from repetend import config
 from repetend.decimals import DecimalNumber
+from repetend.errors import CapacityError
 from repetend.numtheory import (
     DecimalRootClassification,
     UnitaryPolynomial,
@@ -41,6 +43,20 @@ class TestMultiplicativeOrder:
     def test_requires_coprimality(self):
         with pytest.raises(ValueError):
             multiplicative_order(10, 4)
+
+    def test_cap_bounds_both_regimes(self):
+        with pytest.raises(CapacityError):
+            multiplicative_order(10, 999999937)  # factored: 333333312
+        with pytest.raises(CapacityError):
+            multiplicative_order(10, 1000730021)  # stepped to the cap
+        assert multiplicative_order(10, 10**14 - 1) == 14
+
+    def test_factored_order_at_the_cap_boundary(self):
+        config.period_cap = 20045
+        with pytest.raises(CapacityError):
+            multiplicative_order(10, 20047)
+        config.period_cap = 20046
+        assert multiplicative_order(10, 20047) == 20046
 
 
 class TestPeriodLength:
@@ -136,6 +152,13 @@ class TestIntegerNthRoot:
     def test_large(self):
         n = 12345678901234567890
         assert integer_nth_root(n**7, 7) == n
+
+    def test_past_float_range(self):
+        k = 10**200 + 7
+        assert integer_nth_root(k**3, 3) == k
+        assert integer_nth_root(k**3 + 1, 3) is None
+        assert integer_nth_root(k**3 - 1, 3) is None
+        assert integer_nth_root(k**2, 1) == k**2
 
 
 class TestClassifyRoot:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,17 +8,20 @@ from conftest import cw
 from repetend import config, notation
 from repetend.decimals import DecimalNumber
 from repetend.errors import CapacityError
-from repetend.oracle import Fraction
+from repetend.numtheory import split_denominator
+from repetend.oracle import Fraction, expansion_digits
 from repetend.rational import (
     DcNumber,
     WcpNumber,
     cancellation_demo,
     dc_from_wcp,
     from_fraction,
+    from_ratio,
     semiotic_compare,
     wcp_compare,
     wcp_from_dc,
 )
+from repetend.words import char_digit
 
 lit = notation.parse
 out = notation.format_dc
@@ -59,6 +63,55 @@ class TestFromFraction:
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError):
             from_fraction(1, 0, 10)
+
+
+class TestFromRatioAgainstLongDivision:
+    """The closed form agrees digit for digit with schoolbook long
+    division over the preperiod and two full periods."""
+
+    @staticmethod
+    def check(u, v, base):
+        text = out(from_ratio(u, v, base))
+        assert text.startswith("-") == (u < 0)
+        whole, _, rest = text.lstrip("-").partition(".")
+        frac, _, period = rest.rstrip(")").partition("(")
+        assert int(whole, base) == abs(u) // v
+        assert len(frac) == split_denominator(v // gcd(u, v), base)[0]
+        digits = [char_digit(ch) for ch in frac + 2 * (period or "0")]
+        assert digits == expansion_digits(abs(u), v, base, len(digits))
+
+    def test_all_bases_with_and_without_base_factors(self):
+        rng = random.Random(29)
+        for base in range(2, 37):
+            for _ in range(6):
+                coprime = rng.randint(1, 3000)
+                while gcd(coprime, base) != 1:
+                    coprime += 1
+                carried = base ** rng.randint(0, 2) * rng.choice([1, 2, 3, 4])
+                v = coprime * carried
+                self.check(rng.randint(-5 * v, 5 * v), v, base)
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 35, 36])
+    def test_coprime_part_past_the_factoring_regime(self, base):
+        k = 1
+        while base**k - 1 <= 10**9:
+            k += 1
+        for coprime in (base**k - 1, base ** (k + 3) - 1):
+            for carried in (1, base, base**2 // gcd(base, 6)):
+                self.check(1, coprime * carried, base)
+                self.check(-(coprime - 1), coprime * carried, base)
+
+    def test_base_ten_fourteen_nines(self):
+        x = from_ratio(1, 10**14 - 1, 10)
+        assert len(x.period) == 14
+        self.check(1, 10**14 - 1, 10)
+        self.check(-77, 8 * (10**14 - 1), 10)
+
+    def test_period_past_the_cap_in_either_regime(self):
+        with pytest.raises(CapacityError):
+            from_ratio(1, 999999937, 10)  # order 333333312, factored
+        with pytest.raises(CapacityError):
+            from_ratio(1, 1000730021, 10)  # stepped to the cap
 
 
 class TestToFraction:
@@ -168,6 +221,29 @@ class TestWcpAddition:
     def test_unequal_points_align(self):
         total = wcp(1, "21", "4", -1) + wcp(1, "04", "7", -1)
         assert total.to_fraction() == Fraction(193, 90) + Fraction(43, 90)
+
+
+class TestWcpOppositeSignSweep:
+    """Raw operands of opposite signs, all shapes of one letter each:
+    the sums and products carry the value of the fractions."""
+
+    SHAPES = [
+        (aperiodic, period, point)
+        for aperiodic in "015"
+        for period in "039"
+        for point in (-1, 0, 1)
+    ]
+
+    def test_against_fractions(self):
+        for xa, xp, xpoint in self.SHAPES:
+            x = wcp(1, xa, xp, xpoint)
+            for ya, yp, ypoint in self.SHAPES:
+                y = wcp(-1, ya, yp, ypoint)
+                fx, fy = x.to_fraction(), y.to_fraction()
+                total, product = x + y, x * y
+                assert total.to_fraction() == fx + fy, (x, y)
+                assert product.to_fraction() == fx * fy, (x, y)
+                assert total == total.canonical() and product == product.canonical()
 
 
 class TestDcMultiplication:
