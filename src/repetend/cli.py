@@ -153,6 +153,8 @@ def _decimal_text(n: int) -> str:
 
 def _decimal_value(text: str) -> int:
     """The value of a run of base-ten digits at any length, as above."""
+    if not text.isdecimal():
+        raise UsageError("expected a run of base-ten digits")
     return words.digits_to_int(tuple(map(int, text)), 10)
 
 
@@ -188,7 +190,7 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_period_length(args) -> None:
-    report = numtheory.period_length(args.v, args.base)
+    report = numtheory.period_length(_decimal_value(args.v), args.base)
     period, witness = _decimal_text(report.period_len), _decimal_text(report.witness)
     print(f"aperiodic={report.aperiodic_len} period={period} witness={witness}")
 
@@ -330,7 +332,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "period-length", parents=[common], help="expansion period data for 1/V"
     )
-    p.add_argument("v", type=int)
+    p.add_argument("v", help="base-ten digits")
     p.set_defaults(func=_cmd_period_length)
 
     p = sub.add_parser(

@@ -151,10 +151,6 @@ class DecimalNumber:
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
 
-    def shift_point(self, k: int) -> "DecimalNumber":
-        """Multiply by base**k exactly."""
-        return DecimalNumber.from_scaled(self.scaled, self.point - k, self.base)
-
     def __str__(self) -> str:
         text = "".join(digit_char(d) for d in self.digits)
         whole, frac = text[: len(text) - self.point], text[len(text) - self.point :]
@@ -166,28 +162,20 @@ class DecimalNumber:
 def scalar_action(
     d: DecimalNumber, p: CircularWord
 ) -> tuple[DecimalNumber, CircularWord]:
-    """Split d * N(p)/(b**ell - 1) into a finite part and a remainder word.
+    """Split d * N(p)/m into a finite part and a remainder word, m = b**ell - 1.
 
-    With k, c the scaled integer and point of d, ell = len(p) and
-    m = b**ell - 1, take the Euclidean division
-
-        k * N(p) * b**(ell*M - c) = q2 * m + r2,   M = ceil(c / ell).
-
-    The remainder word is r2 written over ell digits (the c-fold inverse
-    rotation of the plain remainder) and the finite part is
-    (q2 - r2 * (b**(ell*M) - 1)/m) * b**(-ell*M), so that exactly
-
-        value(d) * N(p)/m == value(carry) + N(circ)/m.
+    Multiplying by b**-c only rotates a period: with k, c the scaled
+    integer and point of d, p rotated right by c has valuation
+    rot == N(p) * b**-c (mod m).  The remainder word is r = k * rot mod m
+    (a division with a quotient the size of k) on the rotated word, and
+    the carry is (k * N(p) - r * b**c) / m at point c, exact since both
+    terms agree mod m; so value(d) * N(p)/m == value(carry) + N(circ)/m.
     """
     if d.base != p.base:
         raise ValueError(f"mixed bases {d.base} and {p.base}")
-    base = d.base
-    ell = len(p)
-    m = base**ell - 1
-    lifts = -(-d.point // ell)  # ceil
-    q2, r2 = divmod(d.scaled * p.valuation * base ** (ell * lifts - d.point), m)
-    repunit = (base ** (ell * lifts) - 1) // m
-    carry = DecimalNumber.from_scaled(q2 - r2 * repunit, ell * lifts, base)
-    if r2 == p.valuation:  # same value, so the same digits: no conversion
-        return carry, p
-    return carry, CircularWord.from_int(r2, base, ell)
+    base, k, c = d.base, d.scaled, d.point
+    m = p.modulus
+    rotated = p.shift(-c)
+    r = k * rotated.valuation % m
+    carry = DecimalNumber.from_scaled((k * p.valuation - r * base**c) // m, c, base)
+    return carry, rotated.with_value(r)

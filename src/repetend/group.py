@@ -56,7 +56,7 @@ class GroupElement:
 
     @property
     def modulus(self) -> int:
-        return self.base ** len(self.word) - 1
+        return self.word.modulus
 
     def __len__(self) -> int:
         return len(self.word)
@@ -138,7 +138,7 @@ class StarElement:
     def _reduced_value(self) -> tuple[int, int]:
         """The denoted repeating fraction N/(b**ell - 1) in lowest terms."""
         n = self.representative.valuation
-        m = self.base ** len(self.representative) - 1
+        m = self.representative.modulus
         g = gcd(n, m)
         return n // g, m // g
 
@@ -147,15 +147,9 @@ class StarElement:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         length = lcm(len(self.representative), len(other.representative))
         config.check_period(length, "lifted sum")
-        modulus = self.base**length - 1
-        m1 = self.base ** len(self.representative) - 1
-        m2 = self.base ** len(other.representative) - 1
-        value = (
-            self.representative.valuation * (modulus // m1)
-            + other.representative.valuation * (modulus // m2)
-        ) % modulus
-        word = CircularWord.from_int(value, self.base, length)
-        return StarElement.of(word)
+        x = self.representative.lift(length)
+        value = (x.valuation + other.representative.lift(length).valuation) % x.modulus
+        return StarElement.of(x.with_value(value))
 
     def __neg__(self) -> "StarElement":
         word = self.representative.complement()
@@ -189,10 +183,14 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
 
     Its length is ell = ord_base(v) and its value u * (base**ell - 1) / v,
     so for u/v in lowest terms it is primitive (u == v gives the
-    all-(base-1) letter).  The order is capped; see multiplicative_order.
+    all-(base-1) letter).  The word keeps base**ell - 1 as its modulus.
+    The order is capped; see multiplicative_order.
     """
     ell = multiplicative_order(base, v)
-    return CircularWord.from_int(u * ((base**ell - 1) // v), base, ell)
+    m = base**ell - 1
+    word = CircularWord.from_int(u * (m // v), base, ell)
+    word.__dict__["modulus"] = m  # fill the cached property
+    return word
 
 
 def single_letter_multiplier(base: int) -> int:

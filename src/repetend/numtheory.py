@@ -8,87 +8,46 @@ confront the two ("formula value" vs. "first n that actually works").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from . import config
 from .errors import CapacityError
-
-# Up to this modulus the multiplicative order comes from factoring the
-# modulus and its Carmichael exponent; above it, from stepping powers.
-# Either way an order beyond the period cap raises CapacityError.
-_SMALL_ORDER_LIMIT = 10**9
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
-    if n < 1:
-        raise ValueError("factorize needs n >= 1")
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for q in (d, d + 2):
-            while n % q == 0:
-                factors[q] = factors.get(q, 0) + 1
-                n //= q
-        d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, k in factorize(n).items():
-        divs = [d * p**e for d in divs for e in range(k + 1)]
-    return sorted(divs)
-
-
-def _carmichael(factors: dict[int, int]) -> int:
-    lam = 1
-    for p, k in factors.items():
-        if p == 2:
-            pk = 1 if k == 1 else 2 if k == 2 else 2 ** (k - 2)
-        else:
-            pk = p ** (k - 1) * (p - 1)
-        lam = lcm(lam, pk)
-    return lam
 
 
 def multiplicative_order(b: int, v: int) -> int:
     """Smallest ell >= 1 with b**ell == 1 (mod v); requires gcd(b, v) == 1.
 
-    This is the period length of every reduced u/v in base b.  Exact via
-    factorization for moderate v; for huge moduli the order is found by
-    stepping powers, which stops at the period cap.  An order beyond
-    ``config.period_cap`` raises :class:`CapacityError` in both regimes.
+    This is the period length of every reduced u/v in base b.  Shanks'
+    baby-step giant-step within n = min(``config.period_cap``, v - 1):
+    with s = isqrt(n) + 1, tabulate b**j for j < s, then look up b**(i*s)
+    for i = 1..s.  The first hit b**(i*s) == b**j gives the order i*s - j,
+    and no hit means an order past s*s > n; at most 2*s multiplications
+    mod v.  An order beyond the cap raises :class:`CapacityError`.
     """
     if v < 1:
         raise ValueError("modulus must be >= 1")
-    if v == 1:
-        return 1
     if gcd(b, v) != 1:
         raise ValueError(f"{b} is not invertible modulo {v}")
     cap = config.period_cap
-    if v <= _SMALL_ORDER_LIMIT:
-        order = _carmichael(factorize(v))
-        for q in factorize(order):
-            while order % q == 0 and pow(b, order // q, v) == 1:
-                order //= q
-        if order <= cap:
-            return order
-    else:
-        acc = b % v
-        order = 1
-        while acc != 1 and order < cap:
-            order += 1
-            acc = acc * b % v
-        if acc == 1:
-            return order
-    raise CapacityError(f"multiplicative order of {b} mod {v} exceeds {cap}")
+    steps = isqrt(min(cap, v - 1)) + 1
+    baby = {}
+    power = 1 % v  # so that v == 1 has order 1, at the first giant step
+    for j in range(steps):
+        if j and power == 1:
+            return j  # j <= isqrt(min(cap, v - 1)) <= cap
+        baby[power] = j
+        power = power * b % v
+    giant = power
+    for i in range(1, steps + 1):
+        j = baby.get(giant)
+        if j is not None:
+            order = i * steps - j
+            if order <= cap:
+                return order
+            break
+        giant = giant * power % v
+    shown = v if v.bit_length() <= 64 else f"a {v.bit_length()}-bit modulus"
+    raise CapacityError(f"multiplicative order of {b} mod {shown} exceeds {cap}")
 
 
 def split_denominator(v: int, b: int) -> tuple[int, int]:
@@ -223,10 +182,7 @@ class UnitaryPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
+        return _evaluate(self.coefficients, x)
 
 
 def _is_one(c) -> bool:
@@ -250,35 +206,66 @@ def classify_root(
 ) -> RootClassification:
     """Find all integer roots of a monic polynomial over the integers.
 
-    Candidates are the divisors of the constant term (a root divides it),
-    optionally capped at ``search_bound``.  Any real root that is not in
-    the returned list is irrational: a monic integer polynomial has no
-    non-integer rational roots.
+    No factoring: the roots lie within the Cauchy bound 1 + max |a_i|
+    (or ``search_bound``, if smaller), where :func:`_root_floors` isolates
+    them by exact sign changes.  Any real root that is not in the returned
+    list is irrational: a monic integer polynomial has no non-integer
+    rational roots.
     """
     coeffs = list(poly.coefficients)
     if any(not isinstance(c, int) for c in coeffs):
         raise ValueError("integer classifier needs integer coefficients")
-    roots = []
+    roots = set()
     while len(coeffs) > 1 and coeffs[0] == 0:
         # zero constant term: 0 is a root, peel one factor of X
-        if 0 not in roots:
-            roots.append(0)
+        roots.add(0)
         coeffs = coeffs[1:]
     if len(coeffs) > 1:
-        constant = abs(coeffs[0])
-        reduced = UnitaryPolynomial(tuple(coeffs))
-        for d in divisors(constant):
-            if search_bound is not None and d > search_bound:
-                break
-            for cand in (d, -d):
-                if reduced(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    roots.sort()
+        bound = 1 + max(abs(c) for c in coeffs[:-1])
+        if search_bound is not None:
+            bound = max(0, min(bound, search_bound))
+        floors = _root_floors(coeffs, -bound, bound)
+        roots.update(x for x in floors if _evaluate(coeffs, x) == 0)
+    roots = sorted(roots)
     if roots:
         verdict = "all real roots outside the integer list are irrational"
     else:
         verdict = "no integer roots; all real roots are irrational"
     return RootClassification(tuple(roots), verdict)
+
+
+def _evaluate(f, x):
+    """Horner's rule on ascending coefficients."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _root_floors(f: list[int], lo: int, hi: int) -> set[int]:
+    """Integers of [lo, hi] including every x with f(x) == 0 or a root of
+    f in (x, x + 1); f has ascending coefficients, not all zero.
+
+    Cut at the floors of the roots of f' and one past them.  Between two
+    cuts f is monotone, so bisecting each sign change finds a floor; or
+    the piece is (x, x + 1) around a root of f', and x is listed already.
+    """
+    floors = set()
+    if len(f) > 2:
+        floors = _root_floors([i * c for i, c in enumerate(f)][1:], lo, hi)
+    cuts = sorted({lo, hi} | floors | {x + 1 for x in floors if x < hi})
+    values = [_evaluate(f, x) for x in cuts]
+    floors.update(x for x, y in zip(cuts, values) if y == 0)
+    for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
+        if fa * fb < 0:
+            while b - a > 1:
+                mid = (a + b) // 2
+                if (_evaluate(f, mid) < 0) == (fa < 0):
+                    a = mid
+                else:
+                    b = mid
+            floors.update((a, b))
+    return floors
 
 
 @dataclass(frozen=True)

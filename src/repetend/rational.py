@@ -97,17 +97,15 @@ class DcNumber:
         return DcNumber(delta, period)
 
     def is_zero(self) -> bool:
-        num, _ = self.as_ratio()
-        return num == 0
+        return self.as_ratio()[0] == 0
 
     def is_negative(self) -> bool:
-        num, _ = self.as_ratio()
-        return num < 0
+        return self.as_ratio()[0] < 0
 
     def as_ratio(self) -> tuple[int, int]:
         """(numerator, denominator) with the denominator positive; exact,
         not necessarily reduced."""
-        m = self.base ** len(self.period) - 1
+        m = self.period.modulus
         scale = self.base**self.delta.point
         return self.delta.scaled * m + scale * self.period.valuation, scale * m
 
@@ -125,19 +123,16 @@ class DcNumber:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         length = lcm(len(self.period), len(other.period))
         config.check_period(length, "lifted sum")
-        m = self.base**length - 1
-        total = self.period.lift(length).valuation + other.period.lift(length).valuation
-        carry, rest = _carry_split(total, m)
-        word = CircularWord.from_int(rest, self.base, length)
-        return DcNumber(self.delta + other.delta + carry, word)
+        word = self.period.lift(length)
+        total = word.valuation + other.period.lift(length).valuation
+        carry, rest = _carry_split(total, word.modulus)
+        return DcNumber(self.delta + other.delta + carry, word.with_value(rest))
 
     def __add__(self, other: "DcNumber") -> "DcNumber":
         return self._add_raw(other).canonical()
 
     def __neg__(self) -> "DcNumber":
-        return DcNumber(
-            -self.delta - 1, self.period.complement()
-        ).canonical()
+        return DcNumber(-self.delta - 1, self.period.complement()).canonical()
 
     def __sub__(self, other: "DcNumber") -> "DcNumber":
         return self + (-other)
@@ -149,22 +144,17 @@ class DcNumber:
         added with their carry."""
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
-        base = self.base
         x, y = self.canonical(), other.canonical()
         carry1, circ1 = scalar_action(x.delta, y.period)
         carry2, circ2 = scalar_action(y.delta, x.period)
         prod = (StarElement.of(x.period) * StarElement.of(y.period)).representative
         length = lcm(len(circ1), len(circ2), len(prod))
         config.check_period(length, "lifted product")
-        m = base**length - 1
-        total = (
-            circ1.lift(length).valuation
-            + circ2.lift(length).valuation
-            + prod.lift(length).valuation
-        )
-        carry, rest = _carry_split(total, m)
+        word = prod.lift(length)
+        total = circ1.lift(length).valuation + circ2.lift(length).valuation + word.valuation
+        carry, rest = _carry_split(total, word.modulus)
         delta = x.delta * y.delta + carry1 + carry2 + carry
-        return DcNumber(delta, CircularWord.from_int(rest, base, length)).canonical()
+        return DcNumber(delta, word.with_value(rest)).canonical()
 
     def __truediv__(self, other: "DcNumber") -> "DcNumber":
         num_x, den_x = self.as_ratio()
@@ -176,10 +166,11 @@ class DcNumber:
     # -- order ---------------------------------------------------------
 
     def compare(self, other: "DcNumber") -> int:
-        """-1, 0 or 1; exact, evaluated over finite decimals only.
+        """-1, 0 or 1; exact, evaluated on integers only.
 
-        After lifting the periods to a common length ell, x < y iff
-        b**ell (dx - dy) < (dx - dy) + (Py - Px) on scaled integers.
+        After lifting the periods to a common length ell, with
+        m = b**ell - 1 and dx - dy = k * b**-c, x < y iff
+        m * k < (Py - Px) * b**c.
         """
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
@@ -189,11 +180,9 @@ class DcNumber:
         length = lcm(len(x.period), len(y.period))
         config.check_period(length, "lifted comparison")
         diff = x.delta - y.delta
-        lhs = diff.shift_point(length)
-        rhs = diff + (
-            y.period.lift(length).valuation - x.period.lift(length).valuation
-        )
-        return -1 if lhs < rhs else 1
+        px, py = x.period.lift(length), y.period.lift(length)
+        gap = (py.valuation - px.valuation) * self.base**diff.point
+        return -1 if diff.scaled * px.modulus < gap else 1
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -248,7 +237,7 @@ class WcpNumber:
         return self.aperiodic in ((), (0,)) and self.point == 0
 
     def to_fraction(self) -> Fraction:
-        m = self.base ** len(self.period) - 1
+        m = self.period.modulus
         num = self.sign * (self.aperiodic_value * m + self.period.valuation)
         if self.point >= 0:
             return Fraction(num * self.base**self.point, m)
@@ -375,17 +364,12 @@ def wcp_from_dc(x: DcNumber) -> WcpNumber:
     if x.is_negative():
         return -wcp_from_dc(-(x.canonical()))
     x = x.canonical()
-    base = x.base
-    m = base ** len(x.period) - 1
-    scale = base**x.delta.point
-    shifted, rest = divmod(scale * x.period.valuation, m)
+    base, point = x.base, x.delta.point
+    shifted, rest = divmod(base**point * x.period.valuation, x.period.modulus)
     whole = x.delta.scaled + shifted
-    return WcpNumber(
-        1,
-        _word_digits(whole, base),
-        CircularWord.from_int(rest, base, len(x.period)),
-        -x.delta.point,
-    ).canonical()
+    # rest is the period's value times base**point: the period rotated
+    period = x.period.shift(point).with_value(rest)
+    return WcpNumber(1, _word_digits(whole, base), period, -point).canonical()
 
 
 def dc_from_wcp(x: WcpNumber) -> DcNumber:
@@ -403,9 +387,10 @@ def from_ratio(num: int, den: int, base: int) -> DcNumber:
     In lowest terms write den = c * v' with v' the part coprime to the
     base and c dividing base**t, t minimal.  Then num/den is
     (whole + r/v') / base**t, where whole and r come from one division
-    of num * base**t / c by v'.  r/v' is purely periodic: its period is
-    the circular word of length ord_base(v') (``repeating_word``), which
-    the scalar action of base**-t moves behind the t finite digits.
+    of num * base**t / c by v'.  With r2 = r * base**-t mod v',
+    r/v' / base**t == f / base**t + r2/v' for f = (r - r2 * base**t) / v',
+    an exact division with |f| < base**t: the finite part is whole + f at
+    point t, and the period is the word of r2/v' (``repeating_word``).
     """
     if den == 0:
         raise ZeroDivisionError("zero denominator")
@@ -416,11 +401,11 @@ def from_ratio(num: int, den: int, base: int) -> DcNumber:
     g = gcd(num, den)
     num, den = num // g, den // g
     t, coprime = split_denominator(den, base)
-    whole, r = divmod(num * (base**t // (den // coprime)), coprime)
-    finite = DecimalNumber.from_scaled(whole, t, base)
-    scale = DecimalNumber.from_scaled(1, t, base)
-    carry, circ = scalar_action(scale, repeating_word(r, coprime, base))
-    value = DcNumber(finite + carry, circ).canonical()
+    power = base**t
+    whole, r = divmod(num * (power // (den // coprime)), coprime)
+    r2 = r * pow(base, -t, coprime) % coprime
+    finite = DecimalNumber.from_scaled(whole + (r - r2 * power) // coprime, t, base)
+    value = DcNumber(finite, repeating_word(r2, coprime, base)).canonical()
     return -value if negative else value
 
 

@@ -305,11 +305,6 @@ def _check_digits(digits: tuple[int, ...], base: int) -> None:
         raise ValueError(f"digit {bad} out of range for base {base}")
 
 
-def _check_same_base(a, b) -> None:
-    if a.base != b.base:
-        raise ValueError(f"mixed bases {a.base} and {b.base}")
-
-
 @dataclass(frozen=True)
 class FiniteWord:
     """A possibly-empty digit word; empty reads as 0."""
@@ -333,10 +328,6 @@ class FiniteWord:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def concat(self, other: "FiniteWord") -> "FiniteWord":
-        _check_same_base(self, other)
-        return FiniteWord(self.digits + other.digits, self.base)
-
     def repeat(self, n: int) -> "FiniteWord":
         if n < 1:
             raise ValueError("repetition count must be >= 1")
@@ -350,9 +341,9 @@ class FiniteWord:
 class CircularWord:
     """A nonempty digit word indexed cyclically.
 
-    Its valuation N(w) is read from the digits at most once and cached;
-    ``from_int`` and ``repeat``/``lift`` fill it from the integer they
-    start from, so those words never read their digits back.
+    Its valuation N(w) and modulus m = base**len - 1 are computed at most
+    once.  Words made from an integer or from other words fill them from
+    what they start from, so long digits are not read back or rechecked.
     """
 
     digits: tuple[int, ...]
@@ -365,23 +356,53 @@ class CircularWord:
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "CircularWord":
-        word = cls(int_to_digits(n, base, length), base)
-        word.__dict__["valuation"] = n  # fill the cached_property below
-        return word
+        if length < 1:
+            raise ValueError("circular word must be nonempty")
+        return _known_word(int_to_digits(n, base, length), base, valuation=n)
 
     @cached_property
     def valuation(self) -> int:
         return digits_to_int(self.digits, self.base)
 
+    @cached_property
+    def modulus(self) -> int:
+        """base**len - 1: the value of the all-(base-1) word of this length."""
+        return self.base ** len(self.digits) - 1
+
+    def with_value(self, n: int) -> "CircularWord":
+        """The word of this length with valuation n: this word itself when
+        n is its own value, so an unchanged value is never written out."""
+        if n == self.valuation:
+            return self
+        return self._sibling(int_to_digits(n, self.base, len(self.digits)), valuation=n)
+
+    def _sibling(self, digits, keep=("modulus",), **cached) -> "CircularWord":
+        """A word of this length and base on valid digits; keeps ``keep``."""
+        for name in keep:
+            if name in self.__dict__:
+                cached[name] = self.__dict__[name]
+        return _known_word(digits, self.base, **cached)
+
     def __len__(self) -> int:
         return len(self.digits)
 
     def shift(self, k: int = 1) -> "CircularWord":
-        """Rotate left by ``k`` positions (negative k rotates right)."""
-        k %= len(self.digits)
+        """Rotate left by ``k`` positions (negative k rotates right).  The
+        value is multiplied by b**k mod m, which carries a cached valuation
+        in linear time when few letters wrap around."""
+        ell = len(self.digits)
+        k %= ell
         if k == 0:
             return self
-        return CircularWord(self.digits[k:] + self.digits[:k], self.base)
+        cached = {}
+        if {"valuation", "modulus"} <= self.__dict__.keys() and min(k, ell - k) <= _SMALL:
+            n, m, base = self.valuation, self.modulus, self.base
+            if k <= _SMALL:  # the first k letters A move to the end
+                n = n * base**k - _horner(self.digits[:k], base) * m
+            else:  # the last ell - k letters T move to the front
+                n = (n + _horner(self.digits[k:], base) * m) // base ** (ell - k)
+            cached["valuation"] = n
+        return self._sibling(self.digits[k:] + self.digits[:k], _ROTATION_KEEPS, **cached)
 
     def repeat(self, n: int) -> "CircularWord":
         if n < 1:
@@ -389,13 +410,16 @@ class CircularWord:
         config.check_period(len(self.digits) * n)
         if n == 1:
             return self
-        word = CircularWord(self.digits * n, self.base)
+        cached = {}
         value = self.__dict__.get("valuation")
-        if value is not None:
-            # N(w^n) = N(w) * (1 + B + ... + B**(n-1)) with B = b**len(w)
-            block = self.base ** len(self.digits)
-            word.__dict__["valuation"] = value and value * _repunit(block, n)
-        return word
+        if value == 0:
+            cached["valuation"] = 0
+        elif value is not None:
+            # N(w^n) = N(w) * R and b**len(w^n) - 1 = (b**len(w) - 1) * R
+            # with R = 1 + B + ... + B**(n-1), B = b**len(w)
+            repunit = _repunit(self.modulus + 1, n)
+            cached.update(valuation=value * repunit, modulus=self.modulus * repunit)
+        return _known_word(self.digits * n, self.base, **cached)
 
     def lift(self, length: int) -> "CircularWord":
         """Repeat up to ``length`` digits; ``length`` must be a multiple."""
@@ -409,25 +433,40 @@ class CircularWord:
 
         The smallest k > 0 whose rotation fixes the word divides the
         length and is exactly the primitive length; doubling the word
-        finds it with one scan (digits fit in bytes since base <= 36).
+        finds it with one scan (digits fit in bytes since base <= 36),
+        made once per word and kept by rotations and complements.
         """
-        s = bytes(self.digits)
-        k = (s + s).index(s, 1)
-        if k == len(s):
+        k = self.__dict__.get("_primitive_length")
+        if k is None:
+            s = bytes(self.digits)
+            k = self.__dict__["_primitive_length"] = (s + s).index(s, 1)
+        if k == len(self.digits):
             return self
-        return CircularWord(self.digits[:k], self.base)
-
-    def is_constant(self) -> bool:
-        first = self.digits[0]
-        return all(d == first for d in self.digits)
+        return _known_word(self.digits[:k], self.base, _primitive_length=k)
 
     def complement(self) -> "CircularWord":
-        """Replace every letter w by base-1-w."""
+        """Replace every letter w by base-1-w; the value becomes m - N(w)."""
         beta = self.base - 1
-        return CircularWord(tuple(beta - d for d in self.digits), self.base)
+        cached = {}
+        if {"valuation", "modulus"} <= self.__dict__.keys():
+            cached["valuation"] = self.modulus - self.valuation
+        return self._sibling(tuple(beta - d for d in self.digits), _ROTATION_KEEPS, **cached)
 
     def __str__(self) -> str:
-        return "".join(digit_char(d) for d in self.digits)
+        return bytes(self.digits).translate(_TO_ASCII).decode()
+
+
+# Cached values a rotation or a complement leaves unchanged.
+_ROTATION_KEEPS = ("modulus", "_primitive_length")
+
+
+def _known_word(digits: tuple[int, ...], base: int, **cached) -> CircularWord:
+    """A circular word on digits already known to be valid letters (written
+    by int_to_digits, or moved from a word that was checked), with the
+    given cached values; the check of every letter is skipped."""
+    word = object.__new__(CircularWord)
+    word.__dict__.update(digits=digits, base=base, **cached)
+    return word
 
 
 def is_prime(n: int) -> bool:

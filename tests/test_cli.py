@@ -138,6 +138,21 @@ class TestVerbs:
         value = words.digits_to_int(tuple(map(int, out.strip())), 10)
         assert value == (10**5000 - 1) * 5000
 
+    def test_period_length_of_a_long_modulus(self, capsys):
+        code, out, err = invoke(capsys, "period-length", "9" * 4401)
+        assert (code, out, err) == (0, "aperiodic=0 period=4401 witness=1\n", "")
+
+    @pytest.mark.parametrize("v", ["abc", "-3", "7x", ""])
+    def test_period_length_needs_digits(self, capsys, v):
+        code, out, err = invoke(capsys, "period-length", v)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+
+    def test_from_frac_long_denominator_past_the_cap(self, capsys):
+        code, out, err = invoke(capsys, "from-frac", "1/1" + "0" * 4999 + "3")
+        assert (code, out) == (3, "")
+        assert "capacity" in err and err.count("\n") == 1
+
     def test_period_length_past_the_cap(self, capsys):
         code, out, err = invoke(capsys, "period-length", "999999937")
         assert (code, out) == (3, "")

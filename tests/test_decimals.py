@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw
 from repetend.decimals import DecimalNumber, scalar_action
 from repetend.oracle import Fraction
-from repetend.words import CircularWord
+from repetend.words import CircularWord, digits_to_int
 
 
 def dec(text: str, base: int = 10) -> DecimalNumber:
@@ -175,3 +177,43 @@ class TestScalarAction:
         total = as_fraction(c1) + Fraction(r1.valuation, m1)
         total = total + as_fraction(c3) + Fraction(r3.valuation, m2)
         assert total == as_fraction(d1) * value_sum
+
+
+def _divmod_action(d, p):
+    """scalar_action as it was first written: one Euclidean division of
+    k * N(p) * b**(ell*M - c) by b**ell - 1, M = ceil(c / ell)."""
+    base, ell = d.base, len(p)
+    m = base**ell - 1
+    lifts = -(-d.point // ell)
+    q2, r2 = divmod(d.scaled * p.valuation * base ** (ell * lifts - d.point), m)
+    repunit = (base ** (ell * lifts) - 1) // m
+    carry = DecimalNumber.from_scaled(q2 - r2 * repunit, ell * lifts, base)
+    return carry, CircularWord.from_int(r2, base, ell)
+
+
+class TestScalarActionAgainstDivision:
+    def test_random_cases(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            base = rng.randint(2, 36)
+            ell = rng.choice((1, 2, 3, 5, 8, 33, 40, 70))
+            digits = tuple(rng.randrange(base) for _ in range(ell))
+            if rng.random() < 0.1:
+                digits = (base - 1,) * ell
+            point = rng.randint(0, 3 * ell + 2)
+            scalar = tuple(rng.randrange(base) for _ in range(point + rng.randint(0, 3)))
+            d = DecimalNumber(rng.choice((1, -1)), scalar or (0,), point, base)
+            # with and without the valuation already cached on the word
+            word = CircularWord(digits, base)
+            if rng.random() < 0.5:
+                word = CircularWord.from_int(digits_to_int(digits, base), base, ell)
+            carry, circ = scalar_action(d, word)
+            ref_carry, ref_circ = _divmod_action(d, CircularWord(digits, base))
+            assert carry == ref_carry
+            assert circ.digits == ref_circ.digits
+            assert circ.valuation == digits_to_int(circ.digits, base)
+
+    def test_unchanged_value_keeps_the_word(self):
+        word = CircularWord.from_int(142857, 10, 6)
+        assert scalar_action(dec("1"), word)[1] is word
+        assert scalar_action(dec("1000000"), word)[1] is word

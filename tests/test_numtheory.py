@@ -51,6 +51,31 @@ class TestMultiplicativeOrder:
             multiplicative_order(10, 1000730021)  # stepped to the cap
         assert multiplicative_order(10, 10**14 - 1) == 14
 
+    def test_against_stepping_for_every_small_modulus(self):
+        for b in (2, 3, 10, 16, 36):
+            for v in range(2, 3000):
+                if gcd(v, b) != 1:
+                    continue
+                k, acc = 1, b % v
+                while acc != 1:
+                    k += 1
+                    acc = acc * b % v
+                assert multiplicative_order(b, v) == k, (b, v)
+
+    @pytest.mark.parametrize("v,order", [(10**14 - 1, 14), (20047, 20046)])
+    def test_cap_boundary(self, v, order):
+        # at the default cap 10**14 - 1 is found among the 1001 baby steps;
+        # at a cap of 13 or 14 there are only four, and the giant step
+        # 10**16 == 10**2 finds 14 = 4*4 - 2.  20047 is a full-reptend
+        # prime: its order is v - 1, found at the last giant step.
+        if order < 1001:
+            assert multiplicative_order(10, v) == order
+        config.period_cap = order
+        assert multiplicative_order(10, v) == order
+        config.period_cap = order - 1
+        with pytest.raises(CapacityError):
+            multiplicative_order(10, v)
+
     def test_factored_order_at_the_cap_boundary(self):
         config.period_cap = 20045
         with pytest.raises(CapacityError):
@@ -178,6 +203,37 @@ class TestClassifyRoot:
     def test_zero_constant_term(self):
         report = classify_root(UnitaryPolynomial((0, -4, 0, 1)))  # x(x**2 - 4)
         assert report.integer_roots == (-2, 0, 2)
+
+    def test_huge_prime_constant_needs_no_factoring(self):
+        # x**3 - (10**60 + 39): trial division of the constant never ends
+        report = classify_root(UnitaryPolynomial((-(10**60 + 39), 0, 0, 1)))
+        assert report.integer_roots == ()
+
+    def test_large_and_repeated_roots(self):
+        # (x - 2**200) * (x + 3) and (x - 5)**2 * (x + 7)
+        big = 2**200
+        report = classify_root(UnitaryPolynomial((-3 * big, 3 - big, 1)))
+        assert report.integer_roots == (-3, big)
+        report = classify_root(UnitaryPolynomial((175, -45, -3, 1)))
+        assert report.integer_roots == (-7, 5)
+
+    def test_against_chosen_roots(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            roots = [rng.randint(-50, 50) for _ in range(rng.randint(1, 4))]
+            coeffs = [1]
+            for r in roots:  # multiply by (x - r), ascending coefficients
+                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            if rng.random() < 0.5:  # and by x**2 + c, irreducible for c > 0
+                c = rng.randint(1, 30)
+                coeffs = [a + c * b for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
+            poly = UnitaryPolynomial(tuple(coeffs))
+            assert classify_root(poly).integer_roots == tuple(sorted(set(roots)))
+
+    def test_search_bound(self):
+        poly = UnitaryPolynomial((-36, 5, 1))  # (x - 4) * (x + 9)
+        assert classify_root(poly, search_bound=5).integer_roots == (4,)
+        assert classify_root(poly, search_bound=3).integer_roots == ()
 
     def test_monic_enforced(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw
-from repetend import config, notation
+from repetend import config, notation, words
 from repetend.decimals import DecimalNumber
 from repetend.errors import CapacityError
 from repetend.numtheory import split_denominator
@@ -266,6 +266,23 @@ class TestDcMultiplication:
         # (17/9)**2 = 289/81 exercises the carry of the periodic sums
         x = lit("1.(8)")
         assert (x * x).to_fraction() == Fraction(289, 81)
+
+
+def test_long_product_writes_its_period_once(monkeypatch):
+    """Parse, multiply and format 0.(00001) * 0.(00001): its period of
+    499,995 digits is written out from its value once, not once per layer."""
+    lengths = []
+    write = words.int_to_digits
+
+    def counted(n, base, length):
+        lengths.append(length)
+        return write(n, base, length)
+
+    monkeypatch.setattr(words, "int_to_digits", counted)
+    x = notation.parse("0.(00001)")
+    text = notation.format_dc(x * x)
+    assert lengths.count(499995) == 1
+    assert text.startswith("0.(000000000100002") and len(text) == 499995 + 4
 
 
 class TestWcpMultiplication:

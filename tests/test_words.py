@@ -246,6 +246,39 @@ class TestValuationCarry:
         assert lifted.valuation == 142857 * (10**60 - 1) // (10**6 - 1)
 
 
+class TestModulus:
+    def test_value(self):
+        assert cw("142857").modulus == 10**6 - 1
+        assert cw("1", 2).modulus == 1
+
+    def test_carried_by_lift_shift_and_with_value(self):
+        word = CircularWord.from_int(142857, 10, 6)
+        assert word.modulus == 10**6 - 1
+        for other in (word.lift(18), word.shift(2), word.with_value(3)):
+            assert "modulus" in other.__dict__
+            assert other.modulus == 10 ** len(other) - 1
+
+    def test_with_value(self):
+        word = cw("142857")
+        assert word.with_value(142857) is word
+        other = word.with_value(3)
+        assert other.digits == (0, 0, 0, 0, 0, 3)
+        assert other.valuation == 3
+
+    @pytest.mark.parametrize("base,length", [(10, 6), (2, 40), (36, 70), (7, 65)])
+    def test_shift_carries_the_value(self, base, length):
+        rng = random.Random(length)
+        for n in (0, base**length - 1, rng.randrange(base**length)):
+            word = CircularWord.from_int(n, base, length)
+            word.modulus  # noqa: B018 -- cache it, as repeating_word does
+            for k in range(-length - 1, length + 2):
+                shifted = word.shift(k)
+                assert shifted.valuation == CircularWord(shifted.digits, base).valuation
+
+    def test_str(self):
+        assert str(cw("09AZ", 36)) == "09AZ"
+
+
 class TestInvariantChecks:
     def test_orbit_check_survives_optimize_flag(self):
         """Under -O a broken count must still raise, not return."""
