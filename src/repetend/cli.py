@@ -148,7 +148,7 @@ def _decimal_text(n: int) -> str:
     """n written in base ten at any length: str() refuses ints past 4300
     digits, and that process-wide limit stays as it is."""
     digits = words.int_to_digits(abs(n), 10, words.digit_count(abs(n), 10))
-    return ("-" if n < 0 else "") + ("".join(map(str, digits)) or "0")
+    return ("-" if n < 0 else "") + (words._spell(digits) or "0")
 
 
 def _decimal_value(text: str) -> int:
@@ -236,9 +236,8 @@ def _cmd_irrational_check(args) -> None:
 
 
 def _cmd_period_growth(args) -> None:
-    word = CircularWord(
-        tuple(words.char_digit(ch) for ch in args.period), args.base
-    )
+    # any letter is read; the word names one out of range by its value
+    word = CircularWord(words._letters(args.period, 36), args.base)
     lengths = numtheory.period_growth(word, args.count)
     print(" ".join(str(n) for n in lengths))
 

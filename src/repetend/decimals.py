@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import CircularWord, digit_char, digit_count, digits_to_int, int_to_digits
+from .words import (
+    CircularWord,
+    _check_digits,
+    _spell,
+    digit_count,
+    digits_to_int,
+    int_to_digits,
+)
 
 
 @dataclass(frozen=True)
@@ -31,9 +38,7 @@ class DecimalNumber:
             raise ValueError("sign must be +1 or -1")
         if not 0 <= self.point <= len(self.digits):
             raise ValueError("point must lie within the word")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+        _check_digits(self.digits, self.base)
 
     @classmethod
     def from_scaled(cls, scaled: int, point: int, base: int) -> "DecimalNumber":
@@ -51,9 +56,12 @@ class DecimalNumber:
         # trailing zeros right of the point carry no value
         strip = point and point - len(bytes(digits[-point:]).rstrip(b"\0"))
         if strip:
-            return cls(sign, digits[:-strip], point - strip, base)
-        number = cls(sign, digits, point, base)
-        number.__dict__["scaled"] = sign * mag  # fill the cached_property below
+            digits, point = digits[:-strip], point - strip
+        # int_to_digits wrote valid letters around the point: no checks
+        number = object.__new__(cls)
+        number.__dict__.update(sign=sign, digits=digits, point=point, base=base)
+        if not strip:
+            number.__dict__["scaled"] = sign * mag  # fill the cached_property below
         return number
 
     @classmethod
@@ -77,7 +85,7 @@ class DecimalNumber:
         return DecimalNumber.from_scaled(self.scaled, self.point, self.base)
 
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.digits)
 
     def is_one(self) -> bool:
         return self.scaled == 1 and self.point == 0
@@ -152,7 +160,7 @@ class DecimalNumber:
         return self._cmp(other) >= 0
 
     def __str__(self) -> str:
-        text = "".join(digit_char(d) for d in self.digits)
+        text = _spell(self.digits)
         whole, frac = text[: len(text) - self.point], text[len(text) - self.point :]
         whole = whole.lstrip("0") or "0"
         out = whole if not frac else f"{whole}.{frac}"

@@ -29,8 +29,7 @@ from .words import CircularWord, digits_to_int
 
 
 def _all_beta(word: CircularWord) -> bool:
-    beta = word.base - 1
-    return all(d == beta for d in word.digits)
+    return word.digits.count(word.base - 1) == len(word)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 
 from .decimals import DecimalNumber, scalar_action
-from .rational import DcNumber, WcpNumber, wcp_from_dc
-from .words import CircularWord, char_digit, digit_char, digits_to_int
+from .rational import DcNumber, WcpNumber, _lower_point, wcp_from_dc
+from .words import CircularWord, _letters, _spell, digits_to_int
 
 _LITERAL_RE = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -23,16 +23,6 @@ _LITERAL_RE = re.compile(
         (?:\((?P<period>[0-9A-Za-z]+)\))?$""",
     re.VERBOSE,
 )
-
-
-def _digits(text: str, base: int) -> tuple[int, ...]:
-    out = []
-    for ch in text:
-        d = char_digit(ch)
-        if d >= base:
-            raise ValueError(f"digit {ch!r} out of range for base {base}")
-        out.append(d)
-    return tuple(out)
 
 
 def parse_components(
@@ -50,14 +40,14 @@ def parse_components(
     if not m or not (m.group("whole") or m.group("frac") or m.group("period")):
         raise ValueError(f"not a numeric literal: {text!r}")
     sign = -1 if m.group("sign") == "-" else 1
-    whole = _digits(m.group("whole") or "", base)
-    frac = _digits(m.group("frac") or "", base)
+    whole = _letters(m.group("whole") or "", base)
+    frac = _letters(m.group("frac") or "", base)
     finite = DecimalNumber.from_scaled(
         digits_to_int(whole + frac, base), len(frac), base
     )
     period = None
     if m.group("period"):
-        period = CircularWord(_digits(m.group("period"), base), base)
+        period = CircularWord(_letters(m.group("period"), base), base)
     return sign, finite, len(frac), period
 
 
@@ -84,21 +74,15 @@ def format_wcp(x: WcpNumber) -> str:
     x = x.canonical()
     if x.is_zero():
         return "0"
-    sign = "-" if x.sign < 0 else ""
-    digits = "".join(digit_char(d) for d in x.aperiodic)
     periodic = x.period.valuation != 0
-    if x.point <= 0:
-        split = len(x.aperiodic) + x.point
-        whole, frac = digits[:split] or "0", digits[split:]
-        tail = f"({x.period})" if periodic else ""
-        if frac or tail:
-            return f"{sign}{whole}.{frac}{tail}"
-        return f"{sign}{whole}"
-    stream = "".join(
-        digit_char(x.period.digits[i % len(x.period)]) for i in range(x.point)
-    )
-    whole = (digits + stream).lstrip("0") or "0"
-    if not periodic:
-        return f"{sign}{whole}"
-    rotated = x.period.shift(x.point)
-    return f"{sign}{whole}.({rotated})"
+    if x.point > 0:
+        # the period's first letters are written before the point
+        x = _lower_point(x, 0)
+    sign = "-" if x.sign < 0 else ""
+    digits = _spell(x.aperiodic)
+    split = len(digits) + x.point
+    whole, frac = digits[:split].lstrip("0") or "0", digits[split:]
+    tail = f"({x.period})" if periodic else ""
+    if frac or tail:
+        return f"{sign}{whole}.{frac}{tail}"
+    return f"{sign}{whole}"

@@ -7,6 +7,7 @@ confront the two ("formula value" vs. "first n that actually works").
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, gcd, isqrt, lcm
 
@@ -55,16 +56,16 @@ def split_denominator(v: int, b: int) -> tuple[int, int]:
     such that v divides v' * b**t."""
     if v < 1:
         raise ValueError("v must be >= 1")
-    coprime = v
-    while (g := gcd(coprime, b)) > 1:
-        coprime //= g
-    carried = v // coprime
-    t = 0
-    power = 1
-    while power % carried:
-        t += 1
-        power *= b
-    return t, coprime
+    # the part of v made of b's primes: squaring a divisor of it doubles
+    # each exponent, until gcd with v caps them all
+    carried = gcd(v, b)
+    while (wider := gcd(v, carried * carried)) != carried:
+        carried = wider
+    # the least t with carried | b**t is at most the largest prime
+    # exponent of carried, so below its bit length
+    exponents = range(carried.bit_length())
+    t = bisect_left(exponents, True, key=lambda e: pow(b, e, carried) == 0)
+    return t, v // carried
 
 
 @dataclass(frozen=True)
@@ -250,21 +251,23 @@ def _root_floors(f: list[int], lo: int, hi: int) -> set[int]:
     cuts f is monotone, so bisecting each sign change finds a floor; or
     the piece is (x, x + 1) around a root of f', and x is listed already.
     """
+    chain = [f]  # f and its derivatives, down to the linear one
+    while len(chain[-1]) > 2:
+        chain.append([i * c for i, c in enumerate(chain[-1])][1:])
     floors = set()
-    if len(f) > 2:
-        floors = _root_floors([i * c for i, c in enumerate(f)][1:], lo, hi)
-    cuts = sorted({lo, hi} | floors | {x + 1 for x in floors if x < hi})
-    values = [_evaluate(f, x) for x in cuts]
-    floors.update(x for x, y in zip(cuts, values) if y == 0)
-    for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
-        if fa * fb < 0:
-            while b - a > 1:
-                mid = (a + b) // 2
-                if (_evaluate(f, mid) < 0) == (fa < 0):
-                    a = mid
-                else:
-                    b = mid
-            floors.update((a, b))
+    for g in reversed(chain):  # floors holds those of g's derivative
+        cuts = sorted({lo, hi} | floors | {x + 1 for x in floors if x < hi})
+        values = [_evaluate(g, x) for x in cuts]
+        floors.update(x for x, y in zip(cuts, values) if y == 0)
+        for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
+            if fa * fb < 0:
+                while b - a > 1:
+                    mid = (a + b) // 2
+                    if (_evaluate(g, mid) < 0) == (fa < 0):
+                        a = mid
+                    else:
+                        b = mid
+                floors.update((a, b))
     return floors
 
 

@@ -34,7 +34,8 @@ from .numtheory import split_denominator
 from .oracle import Fraction
 from .words import (
     CircularWord,
-    digit_char,
+    _check_digits,
+    _spell,
     digit_count,
     digits_to_int,
     int_to_digits,
@@ -212,9 +213,7 @@ class WcpNumber:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        for d in self.aperiodic:
-            if not 0 <= d < self.period.base:
-                raise ValueError(f"digit {d} out of range for base {self.period.base}")
+        _check_digits(self.aperiodic, self.period.base)
 
     @property
     def base(self) -> int:
@@ -247,33 +246,24 @@ class WcpNumber:
         if self.is_zero():
             return WcpNumber.zero(self.base)
         base = self.base
-        beta = base - 1
-        digits = list(self.aperiodic)
+        digits = self.aperiodic
         period = self.period.primitive_period()
         point = self.point
-        if period.digits == (beta,):
-            digits = list(_word_digits(self.aperiodic_value + 1, base))
+        if period.digits == (base - 1,):
+            digits = _word_digits(self.aperiodic_value + 1, base)
             period = CircularWord((0,), base)
-        while True:
-            floor = max(0, 1 - point)
-            while len(digits) > floor and digits[0] == 0:
-                del digits[0]
-            while len(digits) < floor:
-                digits.insert(0, 0)
-            if digits and digits[-1] == period.digits[-1]:
-                # unshift: the last aperiodic letter re-enters the period
-                del digits[-1]
-                period = period.shift(-1)
-                point += 1
-                continue
-            if not digits and period.digits[-1] == 0:
-                # scaled purely periodic value: a trailing zero rotates
-                # out of the significant window the same way, pinning the
-                # rotation (the period is not all-zero here)
-                period = period.shift(-1)
-                point += 1
-                continue
-            break
+        # leading zeros go, but for the whole digit and those after the
+        # point; unshifts only take letters off the end, so this holds
+        significant = bytes(digits).lstrip(b"\0")
+        digits = [0] * (1 - point - len(significant)) + list(significant)
+        # unshift: the last aperiodic letter re-enters the period.  With
+        # none left (a scaled purely periodic value), a trailing zero
+        # rotates out of the significant window the same way, pinning the
+        # rotation (the period is not all-zero here)
+        while (digits[-1] if digits else 0) == period.digits[-1]:
+            del digits[-1:]
+            period = period.shift(-1)
+            point += 1
         return WcpNumber(self.sign, tuple(digits), period, point)
 
     # -- arithmetic ----------------------------------------------------
@@ -294,7 +284,7 @@ class WcpNumber:
 
     def __str__(self) -> str:
         sign = "+" if self.sign > 0 else "-"
-        digits = "".join(digit_char(d) for d in self.aperiodic) or "0"
+        digits = _spell(self.aperiodic) or "0"
         return f"({sign}, {digits}, ({self.period}), {self.point})"
 
 
@@ -304,29 +294,24 @@ def align(x: WcpNumber, y: WcpNumber) -> tuple[WcpNumber, WcpNumber]:
     if x.base != y.base:
         raise ValueError(f"mixed bases {x.base} and {y.base}")
     point = min(x.point, y.point)
-    x = _lower_point(x, point)
-    y = _lower_point(y, point)
+    x, y = _lower_point(x, point), _lower_point(y, point)
     length = lcm(len(x.period), len(y.period))
     config.check_period(length, "aligned period")
-    x = WcpNumber(x.sign, x.aperiodic, x.period.lift(length), x.point)
-    y = WcpNumber(y.sign, y.aperiodic, y.period.lift(length), y.point)
     width = max(len(x.aperiodic), len(y.aperiodic), 1)
     pad = lambda w: (0,) * (width - len(w.aperiodic)) + w.aperiodic
-    return (
-        WcpNumber(x.sign, pad(x), x.period, point),
-        WcpNumber(y.sign, pad(y), y.period, point),
+    return tuple(
+        WcpNumber(w.sign, pad(w), w.period.lift(length), point) for w in (x, y)
     )
 
 
 def _lower_point(x: WcpNumber, point: int) -> WcpNumber:
-    """Shift identification: move period letters into the aperiodic part
-    until the point offset reaches ``point`` (point <= x.point)."""
-    digits = list(x.aperiodic)
-    period = x.period
-    for _ in range(x.point - point):
-        digits.append(period.digits[0])
-        period = period.shift(1)
-    return WcpNumber(x.sign, tuple(digits), period, point)
+    """Shift identification: move the first x.point - point letters of the
+    period, read cyclically, into the aperiodic part and rotate the period
+    past them (point <= x.point)."""
+    k = x.point - point
+    cycle = x.period.digits
+    moved = (cycle * (k // len(cycle) + 1))[:k]
+    return WcpNumber(x.sign, tuple(x.aperiodic) + moved, x.period.shift(k), point)
 
 
 def semiotic_compare(x: WcpNumber, y: WcpNumber) -> int:
@@ -459,8 +444,7 @@ def cancellation_demo(a: DcNumber, x: DcNumber) -> CancellationReport:
     with a trivial period the two routes stay distinguishable and the
     demonstration says nothing.
     """
-    beta = a.base - 1
-    if any(d != beta for d in a.period.digits):
+    if a.period.digits.count(a.base - 1) != len(a.period):
         raise ValueError("demonstration input must carry the all-(base-1) period")
     if x.period.valuation == 0:
         raise ValueError("x must have a nontrivial period")

@@ -19,16 +19,17 @@ from functools import cached_property
 from . import config
 from .errors import CapacityError
 
+# The alphabet: letters 0-9 then A-Z, read in either case.  _letters and
+# _spell are the only reader and writer of letters as text.  They stay
+# private: bench/spans.py wraps only public names, so their time counts
+# as the parser's and the formatter's own.
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Digit values to the characters int() reads; values past the alphabet
 # become "!", which int() rejects.
 _TO_ASCII = (_DIGIT_CHARS.encode() + b"!" * 256)[:256]
-# The characters str() and format() write, back to digit values.
-_FROM_ASCII = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
-def digit_char(d: int) -> str:
-    return _DIGIT_CHARS[d]
+# ASCII characters back to digit values; anything else becomes 255, past
+# every base whose letters are written as characters.
+_FROM_ASCII = bytes(_DIGIT_CHARS.find(chr(c).upper()) % 256 for c in range(256))
 
 
 def char_digit(ch: str) -> int:
@@ -36,6 +37,25 @@ def char_digit(ch: str) -> int:
     if d < 0:
         raise ValueError(f"not a digit: {ch!r}")
     return d
+
+
+def _letters(text: str, base: int) -> tuple[int, ...]:
+    """Digit values of the characters of ``text``, all below ``base``."""
+    if text.isascii():
+        digits = text.encode().translate(_FROM_ASCII)
+        if max(digits, default=0) < base:
+            return tuple(digits)
+    # one character at a time, to name the first that is no digit of the
+    # base (str.upper also takes a few non-ASCII characters to letters)
+    for ch in text:
+        if char_digit(ch) >= base:
+            raise ValueError(f"digit {ch!r} out of range for base {base}")
+    return tuple(map(char_digit, text))
+
+
+def _spell(digits) -> str:
+    """The characters of digit values below 36."""
+    return bytes(digits).translate(_TO_ASCII).decode()
 
 
 # Words of at most this many digits are converted one digit at a time, so
@@ -334,7 +354,7 @@ class FiniteWord:
         return FiniteWord(self.digits * n, self.base)
 
     def __str__(self) -> str:
-        return "".join(digit_char(d) for d in self.digits)
+        return _spell(self.digits)
 
 
 @dataclass(frozen=True)
@@ -446,14 +466,15 @@ class CircularWord:
 
     def complement(self) -> "CircularWord":
         """Replace every letter w by base-1-w; the value becomes m - N(w)."""
-        beta = self.base - 1
         cached = {}
         if {"valuation", "modulus"} <= self.__dict__.keys():
             cached["valuation"] = self.modulus - self.valuation
-        return self._sibling(tuple(beta - d for d in self.digits), _ROTATION_KEEPS, **cached)
+        flip = bytes(range(self.base - 1, -1, -1)).ljust(256, b"\xff")
+        letters = tuple(bytes(self.digits).translate(flip))
+        return self._sibling(letters, _ROTATION_KEEPS, **cached)
 
     def __str__(self) -> str:
-        return bytes(self.digits).translate(_TO_ASCII).decode()
+        return _spell(self.digits)
 
 
 # Cached values a rotation or a complement leaves unchanged.

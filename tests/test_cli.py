@@ -194,6 +194,23 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "period-growth", "--base", "7", "15", "2")
         assert (code, out) == (0, "2 2\n")
 
+    def test_irrational_check_high_degree(self, capsys):
+        # one derivative per degree: past the interpreter's recursion limit
+        code, out, err = invoke(capsys, "irrational-check", "x^1100+x+1")
+        verdict = "no integer roots; all real roots are irrational\n"
+        assert (code, out, err) == (0, verdict, "")
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (("eval", "1.5e3"), 1, "digit 'e' out of range for base 10"),
+            (("period-growth", "G", "3"), 2, "digit 16 out of range for base 10"),
+            (("period-growth", "!", "3"), 2, "not a digit: '!'"),
+        ],
+    )
+    def test_letter_messages(self, capsys, argv, code, err):
+        assert invoke(capsys, *argv) == (code, "", f"repetend: {err}\n")
+
 
 class TestOutputContract:
     CASES = [

@@ -82,3 +82,14 @@ class TestFormat:
             u, v = rng.randint(-500, 500), rng.randint(1, 500)
             value = from_fraction(u, v, 10)
             assert notation.format_wcp(wcp_from_dc(value)) == notation.format_dc(value)
+
+
+def test_long_base_36_literal_round_trips():
+    rng = random.Random(61)
+    alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    letters = lambda n: "".join(rng.choice(alphabet) for _ in range(n))
+    whole = rng.choice(alphabet[1:]) + letters(39_999)
+    period = letters(999).replace("1", "2") + "1"  # primitive: a single 1
+    frac = letters(58_999) + "3"  # unlike the period's last letter: no unshift
+    text = f"{whole}.{frac}({period})"
+    assert notation.format_dc(notation.parse(text, 36)) == text

@@ -21,7 +21,9 @@ from repetend.numtheory import (
     period_length,
     product_period_length,
     product_period_scan,
+    split_denominator,
 )
+from repetend.oracle import Fraction
 from repetend.rational import from_fraction
 
 
@@ -184,6 +186,39 @@ class TestIntegerNthRoot:
         assert integer_nth_root(k**3 + 1, 3) is None
         assert integer_nth_root(k**3 - 1, 3) is None
         assert integer_nth_root(k**2, 1) == k**2
+
+
+def _reference_split(v, b):
+    """split_denominator as a loop: divide out gcd(v, b) while it is not
+    1, then step t until b**t is a multiple of the part divided out."""
+    coprime = v
+    while (g := gcd(coprime, b)) > 1:
+        coprime //= g
+    carried, t, power = v // coprime, 0, 1
+    while power % carried:
+        t, power = t + 1, power * b
+    return t, coprime
+
+
+class TestSplitDenominator:
+    @pytest.mark.parametrize("base", [2, 3, 10, 12, 16, 36])
+    def test_against_the_loop_below_3000(self, base):
+        for v in range(1, 3000):
+            assert split_denominator(v, base) == _reference_split(v, base)
+
+    def test_against_the_loop_at_random(self):
+        rng = random.Random(67)
+        for _ in range(2000):
+            b = rng.randint(2, 40)
+            factor = rng.choice([1, 2, 3, 5, 7]) ** rng.randrange(30)
+            v = rng.randrange(1, 10**6) * b ** rng.randrange(8) * factor
+            assert split_denominator(v, b) == _reference_split(v, b)
+
+    def test_long_preperiod(self):
+        # the loop pays one power of the base per step of t: 20,000 here
+        assert split_denominator(2**20000, 10) == (20000, 1)
+        value = from_fraction(1, 2**20000, 10)
+        assert value.to_fraction() == Fraction(1, 2**20000)
 
 
 class TestClassifyRoot:

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +13,7 @@ from repetend.oracle import Fraction, expansion_digits
 from repetend.rational import (
     DcNumber,
     WcpNumber,
+    align,
     cancellation_demo,
     dc_from_wcp,
     from_fraction,
@@ -21,7 +22,7 @@ from repetend.rational import (
     wcp_compare,
     wcp_from_dc,
 )
-from repetend.words import char_digit
+from repetend.words import CircularWord, char_digit
 
 lit = notation.parse
 out = notation.format_dc
@@ -379,6 +380,53 @@ class TestOrders:
     def test_negative_ordering(self):
         assert wcp_compare(wcp(-1, "2", "0", 0), wcp(-1, "1", "0", 0)) == -1
         assert wcp_compare(wcp(-1, "1", "0", 0), wcp(1, "0", "3", 0)) == -1
+
+
+def _reference_align(x, y):
+    """align as it was written letter by letter: one period letter moved
+    into the aperiodic part per step of the point gap."""
+    point = min(x.point, y.point)
+    moved = []
+    for w in (x, y):
+        digits, period = list(w.aperiodic), w.period
+        for _ in range(w.point - point):
+            digits.append(period.digits[0])
+            period = period.shift(1)
+        moved.append((w.sign, tuple(digits), period))
+    length = lcm(len(x.period), len(y.period))
+    width = max(len(moved[0][1]), len(moved[1][1]), 1)
+    return tuple(
+        WcpNumber(sign, (0,) * (width - len(digits)) + digits, period.lift(length), point)
+        for sign, digits, period in moved
+    )
+
+
+class TestAlign:
+    def test_point_gap_past_the_period(self):
+        rng = random.Random(59)
+        for _ in range(400):
+            base = rng.choice([2, 3, 10, 36])
+            x, y = (
+                WcpNumber(
+                    rng.choice([1, -1]),
+                    tuple(rng.randrange(base) for _ in range(rng.randint(0, 4))),
+                    CircularWord(
+                        tuple(rng.randrange(base) for _ in range(rng.randint(1, 4))), base
+                    ),
+                    rng.randint(-30, 30),
+                )
+                for _ in range(2)
+            )
+            aligned = align(x, y)
+            assert aligned == _reference_align(x, y)
+            assert [w.to_fraction() for w in aligned] == [x.to_fraction(), y.to_fraction()]
+
+    def test_gap_of_many_periods(self):
+        x, y = wcp(1, "1", "25", 7), wcp(1, "3", "4", -2)
+        xa, ya = align(x, y)
+        assert xa.aperiodic == (1,) + (2, 5) * 4 + (2,)
+        assert (xa.period.digits, xa.point) == ((5, 2), -2)
+        assert (xa, ya) == _reference_align(x, y)
 
 
 class TestCanonicalization:

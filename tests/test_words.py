@@ -279,6 +279,68 @@ class TestModulus:
         assert str(cw("09AZ", 36)) == "09AZ"
 
 
+_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _reference_letters(text, base):
+    """The letter-by-letter reader the codec replaced: each character
+    looked up, then checked against the base, in order."""
+    out = []
+    for ch in text:
+        d = _ALPHABET.find(ch.upper())
+        if d < 0:
+            raise ValueError(f"not a digit: {ch!r}")
+        if d >= base:
+            raise ValueError(f"digit {ch!r} out of range for base {base}")
+        out.append(d)
+    return tuple(out)
+
+
+def _outcome(read, text, base):
+    try:
+        return read(text, base)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+class TestAlphabetCodec:
+    CHARS = _ALPHABET + _ALPHABET.lower()[10:] + "! \u00df"
+
+    def test_every_character_in_every_base(self):
+        for base in range(2, 37):
+            for ch in self.CHARS:
+                expected = _outcome(_reference_letters, ch, base)
+                assert _outcome(words._letters, ch, base) == expected, (ch, base)
+
+    def test_the_first_bad_character_is_named(self):
+        rng = random.Random(53)
+        for _ in range(3000):
+            base = rng.randint(2, 36)
+            text = "".join(rng.choice(self.CHARS) for _ in range(rng.randint(0, 8)))
+            expected = _outcome(_reference_letters, text, base)
+            assert _outcome(words._letters, text, base) == expected, (text, base)
+
+    def test_spell_writes_upper_case(self):
+        digits = tuple(range(36)) * 3
+        assert words._spell(digits) == _ALPHABET * 3
+        assert words._letters(words._spell(digits), 36) == digits
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_complement(self, base):
+        rng = random.Random(base)
+        for length in (1, 2, 7, 40):
+            digits = tuple(rng.randrange(base) for _ in range(length))
+            expected = tuple(base - 1 - d for d in digits)
+            plain = CircularWord(digits, base)
+            valued = CircularWord.from_int(digits_to_int(digits, base), base, length)
+            valued.modulus  # noqa: B018 -- cache it, so the value is carried
+            for word in (plain, valued):
+                flipped = word.complement()
+                assert flipped.digits == expected
+                assert flipped.valuation == digits_to_int(expected, base)
+            assert "valuation" in valued.complement().__dict__
+
+
 class TestInvariantChecks:
     def test_orbit_check_survives_optimize_flag(self):
         """Under -O a broken count must still raise, not return."""
