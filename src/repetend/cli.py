@@ -147,7 +147,7 @@ def _cmd_eval(args) -> None:
 def _decimal_text(n: int) -> str:
     """n written in base ten at any length: str() refuses ints past 4300
     digits, and that process-wide limit stays as it is."""
-    digits = words.int_to_digits(abs(n), 10, words.digit_count(abs(n), 10))
+    digits = words._minimal_digits(abs(n), 10)
     return ("-" if n < 0 else "") + (words._spell(digits) or "0")
 
 
@@ -387,7 +387,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.max_period < 1:
         print("repetend: --max-period must be positive", file=sys.stderr)
         return 1
-    config.period_cap = args.max_period
+    previous_cap, config.period_cap = config.period_cap, args.max_period
     try:
         args.func(args)
     except UsageError as exc:
@@ -399,6 +399,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"repetend: {exc}", file=sys.stderr)
         return 2
+    finally:
+        config.period_cap = previous_cap
     return 0
 
 

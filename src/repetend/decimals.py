@@ -1,10 +1,10 @@
 """Signed finite digit words with a point: exact base-b decimals.
 
 A value is sign * N(word) * base**(-point) with the point constrained to
-lie inside the word (0 <= point <= len).  Canonical form strips trailing
-zeros right of the point and leading zeros not needed to reach it, and
-gives zero the + sign; values with a net positive exponent (like 370 =
-37 * 10**1) carry explicit trailing zeros instead of a negative point.
+lie inside the word (0 <= point <= len).  Numbers are canonical from
+construction: trailing zeros right of the point and leading zeros not
+needed to reach it go, and zero has the + sign; values with a net
+positive exponent (like 370 = 37 * 10**1) carry trailing zeros instead.
 
 Also home to the scalar action of these numbers on circular words, which
 splits a product (finite decimal) * (pure repeating fraction) into a
@@ -39,6 +39,9 @@ class DecimalNumber:
         if not 0 <= self.point <= len(self.digits):
             raise ValueError("point must lie within the word")
         _check_digits(self.digits, self.base)
+        # (s, 0W, c) = (s, W, c) = (s, W0, c+1) and -0 = +0, as from_scaled has it
+        scaled = self.sign * digits_to_int(self.digits, self.base)
+        self.__dict__.update(vars(DecimalNumber.from_scaled(scaled, self.point, self.base)))
 
     @classmethod
     def from_scaled(cls, scaled: int, point: int, base: int) -> "DecimalNumber":
@@ -46,13 +49,13 @@ class DecimalNumber:
         if base < 2:
             raise ValueError("base must be >= 2")
         if scaled == 0:
-            return cls(1, (0,), 0, base)
-        sign = 1 if scaled > 0 else -1
+            point = 0
+        sign = 1 if scaled >= 0 else -1
         mag = abs(scaled)
         if point < 0:
             mag *= base**-point
             point = 0
-        digits = int_to_digits(mag, base, max(digit_count(mag, base), point))
+        digits = int_to_digits(mag, base, max(digit_count(mag, base), point, 1))
         # trailing zeros right of the point carry no value
         strip = point and point - len(bytes(digits[-point:]).rstrip(b"\0"))
         if strip:
@@ -82,7 +85,7 @@ class DecimalNumber:
         return self.sign * digits_to_int(self.digits, self.base)
 
     def canonical(self) -> "DecimalNumber":
-        return DecimalNumber.from_scaled(self.scaled, self.point, self.base)
+        return self
 
     def is_zero(self) -> bool:
         return not any(self.digits)
@@ -138,9 +141,6 @@ class DecimalNumber:
     def __neg__(self) -> "DecimalNumber":
         return DecimalNumber.from_scaled(-self.scaled, self.point, self.base)
 
-    def __abs__(self) -> "DecimalNumber":
-        return DecimalNumber.from_scaled(abs(self.scaled), self.point, self.base)
-
     def _cmp(self, other) -> int:
         other = self._coerce(other)
         point = max(self.point, other.point)
@@ -161,10 +161,9 @@ class DecimalNumber:
 
     def __str__(self) -> str:
         text = _spell(self.digits)
-        whole, frac = text[: len(text) - self.point], text[len(text) - self.point :]
-        whole = whole.lstrip("0") or "0"
+        whole, frac = text[: len(text) - self.point] or "0", text[len(text) - self.point :]
         out = whole if not frac else f"{whole}.{frac}"
-        return out if self.sign > 0 or self.is_zero() else f"-{out}"
+        return out if self.sign > 0 else f"-{out}"
 
 
 def scalar_action(

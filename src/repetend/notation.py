@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 
-from .decimals import DecimalNumber, scalar_action
-from .rational import DcNumber, WcpNumber, _lower_point, wcp_from_dc
+from .decimals import DecimalNumber
+from .rational import DcNumber, WcpNumber, _dc_from_written, _lower_point, wcp_from_dc
 from .words import CircularWord, _letters, _spell, digits_to_int
 
 _LITERAL_RE = re.compile(
@@ -53,14 +53,7 @@ def parse_components(
 
 def parse(text: str, base: int = 10) -> DcNumber:
     """Parse a literal to its canonical value."""
-    sign, finite, frac_len, period = parse_components(text, base)
-    if period is None:
-        value = DcNumber(finite, CircularWord((0,), base)).canonical()
-    else:
-        aligner = DecimalNumber.from_scaled(1, frac_len, base)
-        carry, circ = scalar_action(aligner, period)
-        value = DcNumber(finite + carry, circ).canonical()
-    return -value if sign < 0 else value
+    return _dc_from_written(*parse_components(text, base))
 
 
 def format_dc(x: DcNumber) -> str:
@@ -72,8 +65,6 @@ def format_wcp(x: WcpNumber) -> str:
     """Canonical literal; the aperiodic digits, the point, and the period
     rotated to start right after whatever digits precede it."""
     x = x.canonical()
-    if x.is_zero():
-        return "0"
     periodic = x.period.valuation != 0
     if x.point > 0:
         # the period's first letters are written before the point

@@ -10,13 +10,13 @@ Two interchangeable representations:
   to start right after the point.  Less readable (the decimal can be
   negative while the value is not), far better for arithmetic.
 
-Construction is raw; ``canonical()`` applies the identifications (period
-collapsed to its primitive form, an all-(base-1) period bumped into the
-finite part, leading zeros and the shift freedom normalized) so that
-equal values have equal canonical forms.  Arithmetic accepts raw inputs
-and always returns canonical results; the two deliberately raw-facing
-operations, the semiotic order and the cancellation demonstration, are
-the only ones that keep pre-identification forms visible.
+Construction is raw but for finite parts; ``canonical()`` applies the
+identifications (period collapsed to its primitive form, an all-(base-1)
+period bumped into the finite part, leading zeros and the shift freedom
+normalized) so that equal values have equal canonical forms.  Arithmetic
+accepts raw inputs and always returns canonical results; the two
+deliberately raw-facing operations, the semiotic order and the
+cancellation demonstration, keep pre-identification forms visible.
 
 Fractions appear only at the explicit conversion endpoints; the
 arithmetic itself runs on words, valuations and carries.
@@ -35,10 +35,10 @@ from .oracle import Fraction
 from .words import (
     CircularWord,
     _check_digits,
+    _minimal_digits,
     _spell,
-    digit_count,
     digits_to_int,
-    int_to_digits,
+    int_to_digits,  # noqa: F401  bench/spans.py traces it under this name
 )
 
 
@@ -53,11 +53,6 @@ def _carry_split(total: int, modulus: int) -> tuple[int, int]:
         return 0, total
     carry = (total - 1) // modulus
     return carry, total - carry * modulus
-
-
-def _word_digits(n: int, base: int) -> tuple[int, ...]:
-    """Minimal big-endian digits of n >= 0 (empty for 0)."""
-    return int_to_digits(n, base, digit_count(n, base))
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,11 @@ class DcNumber:
         return cls.from_int(1, base)
 
     def canonical(self) -> "DcNumber":
+        """This number itself when its period is primitive and not all-(b-1)."""
         period = self.period.primitive_period()
-        delta = self.delta.canonical()
-        beta = self.base - 1
-        if period.digits == (beta,):
-            return DcNumber(delta + 1, CircularWord((0,), self.base))
-        return DcNumber(delta, period)
+        if period.digits == (self.base - 1,):
+            return DcNumber(self.delta + 1, CircularWord((0,), self.base))
+        return self if period is self.period else DcNumber(self.delta, period)
 
     def is_zero(self) -> bool:
         return self.as_ratio()[0] == 0
@@ -248,23 +242,23 @@ class WcpNumber:
         base = self.base
         digits = self.aperiodic
         period = self.period.primitive_period()
-        point = self.point
         if period.digits == (base - 1,):
-            digits = _word_digits(self.aperiodic_value + 1, base)
+            digits = _minimal_digits(self.aperiodic_value + 1, base)
             period = CircularWord((0,), base)
         # leading zeros go, but for the whole digit and those after the
         # point; unshifts only take letters off the end, so this holds
         significant = bytes(digits).lstrip(b"\0")
-        digits = [0] * (1 - point - len(significant)) + list(significant)
+        digits = bytes(max(0, 1 - self.point - len(significant))) + significant
         # unshift: the last aperiodic letter re-enters the period.  With
         # none left (a scaled purely periodic value), a trailing zero
         # rotates out of the significant window the same way, pinning the
-        # rotation (the period is not all-zero here)
-        while (digits[-1] if digits else 0) == period.digits[-1]:
-            del digits[-1:]
-            period = period.shift(-1)
-            point += 1
-        return WcpNumber(self.sign, tuple(digits), period, point)
+        # rotation (the period is not all-zero here); k unshifts, one rotation
+        cycle, k = period.digits, 0
+        while (digits[-1 - k] if k < len(digits) else 0) == cycle[-1 - k % len(cycle)]:
+            k += 1
+        if k:
+            digits, period = digits[: max(0, len(digits) - k)], period.shift(-k)
+        return WcpNumber(self.sign, tuple(digits), period, self.point + k)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -346,24 +340,33 @@ def wcp_compare(x: WcpNumber, y: WcpNumber) -> int:
 
 
 def wcp_from_dc(x: DcNumber) -> WcpNumber:
-    if x.is_negative():
-        return -wcp_from_dc(-(x.canonical()))
+    """The written form of x: its magnitude, negated once, and its sign."""
     x = x.canonical()
+    sign, x = (-1, -x) if x.is_negative() else (1, x)
     base, point = x.base, x.delta.point
     shifted, rest = divmod(base**point * x.period.valuation, x.period.modulus)
     whole = x.delta.scaled + shifted
     # rest is the period's value times base**point: the period rotated
     period = x.period.shift(point).with_value(rest)
-    return WcpNumber(1, _word_digits(whole, base), period, -point).canonical()
+    return WcpNumber(sign, _minimal_digits(whole, base), period, -point).canonical()
+
+
+def _dc_from_written(sign: int, finite: DecimalNumber, point: int, period) -> DcNumber:
+    """Canonical sign * (finite + 0.(period) * base**-point), period None for
+    none: the one route from a written form, a literal's or a WCP's, to a value."""
+    base = finite.base
+    if period is None:
+        value = DcNumber(finite, CircularWord((0,), base))
+    else:
+        carry, circ = scalar_action(DecimalNumber.from_scaled(1, point, base), period)
+        value = DcNumber(finite + carry, circ)
+    value = value.canonical()
+    return -value if sign < 0 else value
 
 
 def dc_from_wcp(x: WcpNumber) -> DcNumber:
-    base = x.base
-    aligned_one = DecimalNumber.from_scaled(1, -x.point, base)
-    carry, circ = scalar_action(aligned_one, x.period)
-    whole = DecimalNumber.from_scaled(x.aperiodic_value, -x.point, base)
-    magnitude = DcNumber(whole + carry, circ).canonical()
-    return -magnitude if x.sign < 0 else magnitude
+    finite = DecimalNumber.from_scaled(x.aperiodic_value, -x.point, x.base)
+    return _dc_from_written(x.sign, finite, -x.point, x.period)
 
 
 def from_ratio(num: int, den: int, base: int) -> DcNumber:

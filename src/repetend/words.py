@@ -307,6 +307,11 @@ def digit_count(n: int, base: int) -> int:
     return count
 
 
+def _minimal_digits(n: int, base: int) -> tuple[int, ...]:
+    """Big-endian digits of n >= 0 at its own length (empty for 0)."""
+    return int_to_digits(n, base, digit_count(n, base))
+
+
 def _repunit(block: int, n: int) -> int:
     """1 + block + ... + block**(n-1), doubling the count: no division."""
     if n == 1:
@@ -338,7 +343,7 @@ class FiniteWord:
     @classmethod
     def from_int(cls, n: int, base: int, length: int | None = None) -> "FiniteWord":
         if length is None:
-            length = digit_count(n, base)
+            return cls(_minimal_digits(n, base), base)
         return cls(int_to_digits(n, base, length), base)
 
     @cached_property

@@ -1,6 +1,6 @@
 import pytest
 
-from repetend import notation, words
+from repetend import config, notation, words
 from repetend.cli import run
 from repetend.oracle import Fraction
 
@@ -74,6 +74,13 @@ class TestExitCodes:
 
     def test_non_prime_fermat_is_domain_error(self, capsys):
         assert invoke(capsys, "fermat", "--base", "10", "4")[0] == 2
+
+    def test_max_period_holds_for_one_run_only(self, capsys):
+        assert invoke(capsys, "eval", "--max-period", "5", "1")[:2] == (0, "1\n")
+        assert config.period_cap == config.DEFAULT_PERIOD_CAP
+        # a later product in the same process lifts 99 digits, past 5
+        x = notation.parse("0.(01)")
+        assert (x * x).to_fraction() == Fraction(1, 9801)
 
 
 class TestVerbs:

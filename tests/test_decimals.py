@@ -45,6 +45,14 @@ class TestCanonicalForm:
         assert total == DecimalNumber.zero(10)
         assert total.sign == 1
 
+    def test_constructor_applies_the_identifications(self):
+        assert DecimalNumber(1, (0, 3, 7, 0), 1, 10) == DecimalNumber.from_scaled(37, 0, 10)
+        x = DecimalNumber(-1, (0, 0, 4, 7, 0), 4, 10)
+        assert (x.sign, x.digits, x.point) == (-1, (0, 4, 7), 3)
+        assert x.canonical() is x
+        zero = DecimalNumber(-1, (0, 0), 1, 10)
+        assert zero == DecimalNumber.zero(10) and zero.sign == 1
+
     def test_positive_exponent_padded_with_zeros(self):
         x = DecimalNumber.from_scaled(37, -1, 10)  # 37 * 10**1
         assert x.digits == (3, 7, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw
-from repetend import config, notation, words
+from repetend import config, decimals, notation, rational, words
 from repetend.decimals import DecimalNumber
 from repetend.errors import CapacityError
 from repetend.numtheory import split_denominator
@@ -467,6 +467,90 @@ class TestCanonicalization:
         denoted = WcpNumber(canonical.sign, digits, period, point)
         assert denoted.to_fraction() == canonical.to_fraction()
         assert denoted.canonical() == canonical
+
+
+def _unshift_letter_by_letter(x: WcpNumber) -> WcpNumber:
+    """WcpNumber.canonical as it was, one period rotation per unshifted
+    letter: the reference for the single rotation."""
+    if x.is_zero():
+        return WcpNumber.zero(x.base)
+    base, digits, point = x.base, x.aperiodic, x.point
+    period = x.period.primitive_period()
+    if period.digits == (base - 1,):
+        n = x.aperiodic_value + 1
+        digits = words.int_to_digits(n, base, words.digit_count(n, base))
+        period = CircularWord((0,), base)
+    significant = bytes(digits).lstrip(b"\0")
+    digits = [0] * (1 - point - len(significant)) + list(significant)
+    while (digits[-1] if digits else 0) == period.digits[-1]:
+        del digits[-1:]
+        period = period.shift(-1)
+        point += 1
+    return WcpNumber(x.sign, tuple(digits), period, point)
+
+
+class TestCanonicalOnce:
+    def test_unshift_matches_the_letter_by_letter_loop(self):
+        rng = random.Random(83)
+        for _ in range(2000):
+            base = rng.randint(2, 36)
+            ell = rng.randint(1, 6)
+            kind = rng.random()
+            if kind < 0.3:  # zero-heavy, all zero included
+                period = tuple(
+                    rng.randrange(base) if rng.random() < 0.2 else 0 for _ in range(ell)
+                )
+            elif kind < 0.4:
+                period = (base - 1,) * ell
+            else:
+                period = tuple(rng.randrange(base) for _ in range(ell))
+            head = tuple(rng.randrange(base) for _ in range(rng.randint(0, 4)))
+            # a tail the period can take back in, and zeros on either side
+            tail = (period * 4)[len(period) * 4 - rng.randint(0, 3 * ell + 2) :]
+            aperiodic = (0,) * rng.randint(0, 2) + head + tail
+            if rng.random() < 0.2:
+                aperiodic += (0,) * rng.randint(1, 3)
+            raw = WcpNumber(
+                rng.choice((1, -1)), aperiodic, CircularWord(period, base), rng.randint(-8, 4)
+            )
+            assert raw.canonical() == _unshift_letter_by_letter(raw)
+
+    def test_long_unshift_rotates_the_period_once(self, monkeypatch):
+        rng = random.Random(8000)
+        P = tuple(rng.randrange(10) for _ in range(8000))
+        raw = WcpNumber(1, (5,) + P * 3, CircularWord(P, 10), 0)
+        shifts = []
+        shift = CircularWord.shift
+
+        def counted(word, k=1):
+            shifts.append(k)
+            return shift(word, k)
+
+        monkeypatch.setattr(CircularWord, "shift", counted)
+        canonical = raw.canonical()
+        assert len(shifts) <= 1
+        monkeypatch.undo()
+        assert canonical == wcp_from_dc(dc_from_wcp(raw))
+        assert canonical.to_fraction() == raw.to_fraction()
+
+    def test_canonical_values_come_back_as_they_are(self, monkeypatch):
+        values = [
+            lit("0.(3)"),
+            lit("-24.8(37)"),
+            lit("-0.00(6)"),
+            lit("0.(01)") * lit("-1.(12)"),
+            lit("7") * lit("-0.25"),
+            -lit("1.5(142857)"),
+            -lit("0.(9)"),
+            lit("1.(1)", 2) * lit("-0.0(01)", 2),
+            -lit("Z.(AZ)", 36),
+        ]
+        calls = []
+        for module in (words, decimals, rational):
+            monkeypatch.setattr(module, "int_to_digits", lambda *args: calls.append(args))
+        for value in values:
+            assert value.canonical() is value
+        assert calls == []
 
 
 class TestCancellationDemo:
