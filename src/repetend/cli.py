@@ -11,7 +11,6 @@ import re
 import sys
 
 from . import config, notation, numtheory, rational, words
-from .decimals import DecimalNumber
 from .errors import CapacityError
 from .numtheory import UnitaryPolynomial
 from .rational import DcNumber
@@ -222,12 +221,8 @@ def _cmd_irrational_check(args) -> None:
             print(f"integer roots: {roots}")
         print(report.verdict)
     else:
-        decimals = [
-            c if isinstance(c, DecimalNumber) else DecimalNumber.from_int(c, args.base)
-            for c in coefficients
-        ]
         report = numtheory.classify_root_decimal(
-            UnitaryPolynomial(tuple(decimals)), args.base
+            UnitaryPolynomial(tuple(coefficients)), args.base
         )
         if report.roots:
             roots = ", ".join(str(r) for r in report.roots)
@@ -281,6 +276,11 @@ def _parse_polynomial(text: str, base: int) -> list:
     degree = max(coeffs)
     if degree < 1:
         raise ValueError("polynomial must have degree >= 1")
+    if degree + 1 > config.ENUMERATION_CAP:
+        raise CapacityError(
+            f"{degree + 1} coefficients of a degree-{degree} polynomial "
+            f"exceed enumeration cap {config.ENUMERATION_CAP}"
+        )
     return [coeffs.get(i, 0) for i in range(degree + 1)]
 
 

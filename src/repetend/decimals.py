@@ -1,10 +1,10 @@
-"""Signed finite digit words with a point: exact base-b decimals.
+"""Exact base-b decimals: a signed integer scaled by a power of the base.
 
-A value is sign * N(word) * base**(-point) with the point constrained to
-lie inside the word (0 <= point <= len).  Numbers are canonical from
-construction: trailing zeros right of the point and leading zeros not
-needed to reach it go, and zero has the + sign; values with a net
-positive exponent (like 370 = 37 * 10**1) carry trailing zeros instead.
+A value is scaled * base**(-point), canonical from construction: point
+>= 0, trailing zeros of the integer right of the point go and zero has
+point 0, so equality on (scaled, point, base) is value equality.  A net
+positive exponent (370 = 37 * 10**1) folds into the integer.  The letters
+of the written form are made only when they are read.
 
 Also home to the scalar action of these numbers on circular words, which
 splits a product (finite decimal) * (pure repeating fraction) into a
@@ -26,45 +26,40 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecimalNumber:
-    sign: int
-    digits: tuple[int, ...]
+    scaled: int  # the signed integer k with value k * base**(-point)
     point: int
     base: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, digits: tuple[int, ...], point: int, base: int):
+        """Read sign * N(digits) * base**(-point), the point within the word."""
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not 0 <= self.point <= len(self.digits):
+        if not 0 <= point <= len(digits):
             raise ValueError("point must lie within the word")
-        _check_digits(self.digits, self.base)
+        _check_digits(digits, base)
         # (s, 0W, c) = (s, W, c) = (s, W0, c+1) and -0 = +0, as from_scaled has it
-        scaled = self.sign * digits_to_int(self.digits, self.base)
-        self.__dict__.update(vars(DecimalNumber.from_scaled(scaled, self.point, self.base)))
+        scaled = sign * digits_to_int(digits, base)
+        self.__dict__.update(vars(DecimalNumber.from_scaled(scaled, point, base)))
 
     @classmethod
     def from_scaled(cls, scaled: int, point: int, base: int) -> "DecimalNumber":
         """Canonical number with value scaled * base**(-point)."""
         if base < 2:
             raise ValueError("base must be >= 2")
-        if scaled == 0:
-            point = 0
-        sign = 1 if scaled >= 0 else -1
-        mag = abs(scaled)
         if point < 0:
-            mag *= base**-point
+            scaled, point = scaled * base**-point, 0
+        if not scaled:
             point = 0
-        digits = int_to_digits(mag, base, max(digit_count(mag, base), point, 1))
-        # trailing zeros right of the point carry no value
-        strip = point and point - len(bytes(digits[-point:]).rstrip(b"\0"))
-        if strip:
-            digits, point = digits[:-strip], point - strip
-        # int_to_digits wrote valid letters around the point: no checks
+        elif point and not scaled % base:
+            # trailing zeros right of the point carry no value: write the
+            # point's letters once and count them, not one % b per letter
+            tail = int_to_digits(abs(scaled) % base**point, base, point)
+            zeros = point - len(bytes(tail).rstrip(b"\0"))
+            scaled, point = scaled // base**zeros, point - zeros
         number = object.__new__(cls)
-        number.__dict__.update(sign=sign, digits=digits, point=point, base=base)
-        if not strip:
-            number.__dict__["scaled"] = sign * mag  # fill the cached_property below
+        number.__dict__.update(scaled=scaled, point=point, base=base)
         return number
 
     @classmethod
@@ -73,22 +68,27 @@ class DecimalNumber:
 
     @classmethod
     def zero(cls, base: int) -> "DecimalNumber":
-        return cls(1, (0,), 0, base)
+        return cls.from_int(0, base)
 
     @classmethod
     def one(cls, base: int) -> "DecimalNumber":
-        return cls(1, (1,), 0, base)
+        return cls.from_int(1, base)
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.scaled < 0 else 1
 
     @cached_property
-    def scaled(self) -> int:
-        """The signed integer k with value k * base**(-point)."""
-        return self.sign * digits_to_int(self.digits, self.base)
+    def digits(self) -> tuple[int, ...]:
+        """The magnitude's letters: at least one, and reaching the point."""
+        mag, base = abs(self.scaled), self.base
+        return int_to_digits(mag, base, max(digit_count(mag, base), self.point, 1))
 
     def canonical(self) -> "DecimalNumber":
         return self
 
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return self.scaled == 0
 
     def is_one(self) -> bool:
         return self.scaled == 1 and self.point == 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import config
+from . import config, words
 from .numtheory import multiplicative_order
 from .words import CircularWord, digits_to_int
 
@@ -177,19 +177,21 @@ class StarElement:
 
 
 def repeating_word(u: int, v: int, base: int) -> CircularWord:
-    """The period of u/v as a circular word, for 0 <= u <= v with v
-    coprime to the base.
+    """The period of u/v as a circular word, for u/v in lowest terms with
+    0 <= u <= v and v coprime to the base.
 
-    Its length is ell = ord_base(v) and its value u * (base**ell - 1) / v,
-    so for u/v in lowest terms it is primitive (u == v gives the
-    all-(base-1) letter).  The word keeps base**ell - 1 as its modulus.
-    The order is capped; see multiplicative_order.
+    Its length is ell = ord_base(v) and its value u * (base**ell - 1) / v.
+    Lowest terms are required: they make the word primitive (u == v == 1
+    gives the all-(base-1) letter), so it records ell as its primitive
+    length and is never scanned for a shorter one.  The word keeps
+    base**ell - 1 as its modulus.  The order is capped; see
+    multiplicative_order.
     """
     ell = multiplicative_order(base, v)
     m = base**ell - 1
-    word = CircularWord.from_int(u * (m // v), base, ell)
-    word.__dict__["modulus"] = m  # fill the cached property
-    return word
+    n = u * (m // v)
+    digits = words.int_to_digits(n, base, ell)
+    return words._known_word(digits, base, valuation=n, modulus=m, _primitive_length=ell)
 
 
 def single_letter_multiplier(base: int) -> int:

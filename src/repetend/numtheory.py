@@ -250,7 +250,16 @@ def _root_floors(f: list[int], lo: int, hi: int) -> set[int]:
     Cut at the floors of the roots of f' and one past them.  Between two
     cuts f is monotone, so bisecting each sign change finds a floor; or
     the piece is (x, x + 1) around a root of f', and x is listed already.
+    For degree n the chain of derivatives holds about n(n+1)/2
+    coefficients; past the enumeration cap it raises :class:`CapacityError`.
     """
+    n = len(f) - 1
+    size = n * (n + 1) // 2
+    if size > config.ENUMERATION_CAP:
+        raise CapacityError(
+            f"{size} coefficients in the derivative chain of a degree-{n} "
+            f"polynomial exceed enumeration cap {config.ENUMERATION_CAP}"
+        )
     chain = [f]  # f and its derivatives, down to the linear one
     while len(chain[-1]) > 2:
         chain.append([i * c for i, c in enumerate(chain[-1])][1:])
@@ -294,10 +303,13 @@ def classify_root_decimal(poly: UnitaryPolynomial, b: int) -> DecimalRootClassif
     """
     from .decimals import DecimalNumber
 
-    coeffs = [
-        c if isinstance(c, DecimalNumber) else DecimalNumber.from_int(c, b)
-        for c in poly.coefficients
-    ]
+    # each distinct integer once: a sparse high-degree polynomial is mostly 0
+    ints = {
+        c: DecimalNumber.from_int(c, b)
+        for c in set(poly.coefficients)
+        if isinstance(c, int)
+    }
+    coeffs = [ints[c] if isinstance(c, int) else c for c in poly.coefficients]
     if any(c.base != b for c in coeffs):
         raise ValueError("coefficient base mismatch")
     n = len(coeffs) - 1

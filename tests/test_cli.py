@@ -208,6 +208,30 @@ class TestVerbs:
         assert (code, out, err) == (0, verdict, "")
 
     @pytest.mark.parametrize(
+        "polynomial,size",
+        [
+            # the dense coefficient list, then the chain of derivatives
+            ("x^99999999999-2", "100000000000 coefficients of a degree-99999999999"),
+            ("x^2000000-2", "2000001000000 coefficients in the derivative chain"),
+        ],
+    )
+    def test_irrational_check_past_the_enumeration_cap(self, capsys, polynomial, size):
+        code, out, err = invoke(capsys, "irrational-check", polynomial)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"repetend: capacity exceeded: {size}")
+        assert err.endswith(f"exceed enumeration cap {config.ENUMERATION_CAP}\n")
+        assert err.count("\n") == 1
+
+    def test_irrational_check_high_degree_pure_power(self, capsys):
+        # the digit-count argument needs no derivative chain
+        code, out, err = invoke(capsys, "irrational-check", "x^2000000-2.5")
+        assert (code, err) == (0, "")
+        assert out == (
+            "no base-10 decimal roots; all real roots are irrational (digit-count: "
+            "a decimal root with j fractional digits needs 2000000*j == 1, impossible)\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv,code,err",
         [
             (("eval", "1.5e3"), 1, "digit 'e' out of range for base 10"),

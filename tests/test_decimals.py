@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +86,19 @@ class TestCanonicalForm:
         y = DecimalNumber.from_scaled(core, -300, base)
         assert y.point == 0 and y.digits[-300:] == (0,) * 300
         assert y.scaled == DecimalNumber(1, y.digits, 0, base).scaled == core * base**300
+        # an all-zero fraction of 100,000 letters strips at once
+        z = DecimalNumber.from_scaled(5 * base**100_000, 100_000, base)
+        assert (z.scaled, z.point) == (5, 0)
+
+    def test_equal_values_hash_alike(self):
+        read = DecimalNumber(1, (3, 7, 0), 1, 10)
+        assert len({read, DecimalNumber.from_scaled(37, 0, 10)}) == 1
+
+    def test_digits_written_only_when_read(self):
+        x = DecimalNumber.from_scaled(-370, 1, 10)
+        assert vars(x) == {"scaled": -37, "point": 0, "base": 10}
+        assert [f.name for f in fields(DecimalNumber)] == ["scaled", "point", "base"]
+        assert (str(x), x.sign, x.digits) == ("-37", -1, (3, 7))
 
     def test_rendering(self):
         assert str(dec("24.181")) == "24.181"

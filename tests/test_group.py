@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from repetend.group import (
     StarElement,
     circular_carry_add,
     circular_product_expanded,
+    repeating_word,
     single_letter_multiplier,
 )
 from repetend.numtheory import multiplicative_order
@@ -184,6 +186,26 @@ class TestCircularProduct:
         config.period_cap = 50
         with pytest.raises(CapacityError):
             star("0000001") * star("00000001")
+
+
+class TestRepeatingWord:
+    @pytest.mark.parametrize("base", [2, 3, 10, 36])
+    def test_records_what_a_scan_finds(self, base):
+        # u/v in lowest terms: the word is primitive, and its cached
+        # valuation and modulus are those of its digits
+        for v in range(1, 120):
+            if gcd(v, base) != 1:
+                continue
+            for u in range(v + 1):
+                if gcd(u, v) != 1:
+                    continue
+                word = repeating_word(u, v, base)
+                plain = CircularWord(word.digits, base)
+                assert plain.primitive_period() == plain
+                assert vars(word)["_primitive_length"] == len(word)
+                assert word.valuation == plain.valuation
+                assert word.modulus == plain.modulus
+                assert Fraction(word.valuation, word.modulus) == Fraction(u, v)
 
 
 class TestOrderPSubgroups:
