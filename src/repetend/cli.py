@@ -237,6 +237,11 @@ def _cmd_period_growth(args) -> None:
     print(" ".join(str(n) for n in lengths))
 
 
+def _shown(n: int) -> str:
+    """n in a message, or its bit length where str() refuses n (past 4300 digits)."""
+    return str(n) if words.digit_count(n, 10) <= 4300 else f"[{n.bit_length()} bits]"
+
+
 def _parse_polynomial(text: str, base: int) -> list:
     """Read a monic polynomial like ``x^3-3.57`` or ``x^4-10x^2+1`` into
     ascending coefficients (ints where possible, exact decimals else)."""
@@ -259,7 +264,7 @@ def _parse_polynomial(text: str, base: int) -> list:
         pos = m.end()
         exp = 0
         if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = _decimal_value(m.group("exp")) if m.group("exp") else 1
         if m.group("coef") is None:
             coefficient: object = 1
         else:
@@ -271,14 +276,14 @@ def _parse_polynomial(text: str, base: int) -> list:
         if m.group("sign") == "-":
             coefficient = -coefficient
         if exp in coeffs:
-            raise UsageError(f"repeated power x^{exp}")
+            raise UsageError(f"repeated power x^{_shown(exp)}")
         coeffs[exp] = coefficient
     degree = max(coeffs)
     if degree < 1:
         raise ValueError("polynomial must have degree >= 1")
     if degree + 1 > config.ENUMERATION_CAP:
         raise CapacityError(
-            f"{degree + 1} coefficients of a degree-{degree} polynomial "
+            f"{_shown(degree + 1)} coefficients of a degree-{_shown(degree)} polynomial "
             f"exceed enumeration cap {config.ENUMERATION_CAP}"
         )
     return [coeffs.get(i, 0) for i in range(degree + 1)]

@@ -144,10 +144,8 @@ class StarElement:
     def __add__(self, other: "StarElement") -> "StarElement":
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
-        length = lcm(len(self.representative), len(other.representative))
-        config.check_period(length, "lifted sum")
-        x = self.representative.lift(length)
-        value = (x.valuation + other.representative.lift(length).valuation) % x.modulus
+        x, y = words._lift_common((self.representative, other.representative), "lifted sum")
+        value = (x.valuation + y.valuation) % x.modulus
         return StarElement.of(x.with_value(value))
 
     def __neg__(self) -> "StarElement":

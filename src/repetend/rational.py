@@ -13,21 +13,24 @@ Two interchangeable representations:
 Construction is raw but for finite parts; ``canonical()`` applies the
 identifications (period collapsed to its primitive form, an all-(base-1)
 period bumped into the finite part, leading zeros and the shift freedom
-normalized) so that equal values have equal canonical forms.  Arithmetic
-accepts raw inputs and always returns canonical results; the two
-deliberately raw-facing operations, the semiotic order and the
-cancellation demonstration, keep pre-identification forms visible.
+normalized) so that equal values have equal canonical forms, and returns
+a canonical value as it is.  Arithmetic accepts raw inputs and returns
+canonical results; the semiotic order and the cancellation demonstration
+deliberately keep pre-identification forms visible.
 
 Fractions appear only at the explicit conversion endpoints; the
-arithmetic itself runs on words, valuations and carries.
+arithmetic itself runs on words, valuations and carries: one routine
+carries sums and products, and negation is closed form, since a period
+and its complement sum to 0.(b-1) = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
+from operator import attrgetter
 
-from . import config
 from .decimals import DecimalNumber, scalar_action
 from .group import StarElement, repeating_word
 from .numtheory import split_denominator
@@ -35,6 +38,7 @@ from .oracle import Fraction
 from .words import (
     CircularWord,
     _check_digits,
+    _lift_common,
     _minimal_digits,
     _spell,
     digits_to_int,
@@ -42,17 +46,14 @@ from .words import (
 )
 
 
-def _carry_split(total: int, modulus: int) -> tuple[int, int]:
-    """Carry and remaining word value of a digit-level circular sum.
-
-    Faithful to the digit process: a sum equal to the all-(base-1) word
-    stays that word with no carry; only overshoot wraps.  The value
-    total == carry * modulus + remainder is preserved either way.
-    """
-    if total <= 0:
-        return 0, total
-    carry = (total - 1) // modulus
-    return carry, total - carry * modulus
+def _carried_sum(delta: DecimalNumber, periods, what: str) -> "DcNumber":
+    """delta plus the periods, summed on the first one's lift to a common
+    length; as digits carry, all-(base-1) stays and only overshoot wraps."""
+    lifted = _lift_common(periods, what)
+    word = next(lifted)  # map drops each further lift once its value is read
+    total = word.valuation + sum(map(attrgetter("valuation"), lifted))
+    carry = (total - 1) // word.modulus if total > 0 else 0
+    return DcNumber(delta + carry, word.with_value(total - carry * word.modulus))
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,7 @@ class DcNumber:
 
     def __post_init__(self):
         if self.delta.base != self.period.base:
-            raise ValueError(
-                f"mixed bases {self.delta.base} and {self.period.base}"
-            )
+            raise ValueError(f"mixed bases {self.delta.base} and {self.period.base}")
 
     @property
     def base(self) -> int:
@@ -116,18 +115,20 @@ class DcNumber:
         pre-identification forms stay visible."""
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
-        length = lcm(len(self.period), len(other.period))
-        config.check_period(length, "lifted sum")
-        word = self.period.lift(length)
-        total = word.valuation + other.period.lift(length).valuation
-        carry, rest = _carry_split(total, word.modulus)
-        return DcNumber(self.delta + other.delta + carry, word.with_value(rest))
+        return _carried_sum(self.delta + other.delta, (self.period, other.period), "lifted sum")
 
     def __add__(self, other: "DcNumber") -> "DcNumber":
         return self._add_raw(other).canonical()
 
     def __neg__(self) -> "DcNumber":
-        return DcNumber(-self.delta - 1, self.period.complement()).canonical()
+        """Closed form: 0.(P) plus its complement 0.(P') is 0.(b-1) = 1, so
+        -(d + 0.(P)) = (-d - 1) + 0.(P'), canonical as it stands."""
+        x = self.canonical()
+        d = x.delta
+        if not x.period.valuation:
+            return DcNumber(-d, x.period)
+        d = DecimalNumber.from_scaled(-d.scaled - d.base**d.point, d.point, d.base)
+        return DcNumber(d, x.period.complement())
 
     def __sub__(self, other: "DcNumber") -> "DcNumber":
         return self + (-other)
@@ -135,21 +136,15 @@ class DcNumber:
     def __mul__(self, other: "DcNumber") -> "DcNumber":
         """Product via the split form: finite*finite, two scalar actions
         for the cross terms, and the circular product of the periods; the
-        three periodic contributions are lifted to one common length and
-        added with their carry."""
+        three periodic contributions are summed with their carry."""
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         x, y = self.canonical(), other.canonical()
         carry1, circ1 = scalar_action(x.delta, y.period)
         carry2, circ2 = scalar_action(y.delta, x.period)
         prod = (StarElement.of(x.period) * StarElement.of(y.period)).representative
-        length = lcm(len(circ1), len(circ2), len(prod))
-        config.check_period(length, "lifted product")
-        word = prod.lift(length)
-        total = circ1.lift(length).valuation + circ2.lift(length).valuation + word.valuation
-        carry, rest = _carry_split(total, word.modulus)
-        delta = x.delta * y.delta + carry1 + carry2 + carry
-        return DcNumber(delta, word.with_value(rest)).canonical()
+        delta = x.delta * y.delta + carry1 + carry2
+        return _carried_sum(delta, (prod, circ1, circ2), "lifted product").canonical()
 
     def __truediv__(self, other: "DcNumber") -> "DcNumber":
         num_x, den_x = self.as_ratio()
@@ -172,10 +167,8 @@ class DcNumber:
         x, y = self.canonical(), other.canonical()
         if x == y:
             return 0
-        length = lcm(len(x.period), len(y.period))
-        config.check_period(length, "lifted comparison")
+        px, py = _lift_common((x.period, y.period), "lifted comparison")
         diff = x.delta - y.delta
-        px, py = x.period.lift(length), y.period.lift(length)
         gap = (py.valuation - px.valuation) * self.base**diff.point
         return -1 if diff.scaled * px.modulus < gap else 1
 
@@ -213,7 +206,7 @@ class WcpNumber:
     def base(self) -> int:
         return self.period.base
 
-    @property
+    @cached_property
     def aperiodic_value(self) -> int:
         return digits_to_int(self.aperiodic, self.base)
 
@@ -237,8 +230,9 @@ class WcpNumber:
         return Fraction(num, m * self.base**-self.point)
 
     def canonical(self) -> "WcpNumber":
+        """This number itself when the identifications change nothing."""
         if self.is_zero():
-            return WcpNumber.zero(self.base)
+            return self if self == (zero := WcpNumber.zero(self.base)) else zero
         base = self.base
         digits = self.aperiodic
         period = self.period.primitive_period()
@@ -258,6 +252,8 @@ class WcpNumber:
             k += 1
         if k:
             digits, period = digits[: max(0, len(digits) - k)], period.shift(-k)
+        elif period is self.period and digits == bytes(self.aperiodic):
+            return self
         return WcpNumber(self.sign, tuple(digits), period, self.point + k)
 
     # -- arithmetic ----------------------------------------------------
@@ -289,13 +285,10 @@ def align(x: WcpNumber, y: WcpNumber) -> tuple[WcpNumber, WcpNumber]:
         raise ValueError(f"mixed bases {x.base} and {y.base}")
     point = min(x.point, y.point)
     x, y = _lower_point(x, point), _lower_point(y, point)
-    length = lcm(len(x.period), len(y.period))
-    config.check_period(length, "aligned period")
+    periods = _lift_common((x.period, y.period), "aligned period")
     width = max(len(x.aperiodic), len(y.aperiodic), 1)
     pad = lambda w: (0,) * (width - len(w.aperiodic)) + w.aperiodic
-    return tuple(
-        WcpNumber(w.sign, pad(w), w.period.lift(length), point) for w in (x, y)
-    )
+    return tuple(WcpNumber(w.sign, pad(w), p, point) for w, p in zip((x, y), periods))
 
 
 def _lower_point(x: WcpNumber, point: int) -> WcpNumber:
@@ -423,10 +416,7 @@ class CancellationReport:
 
     @property
     def identical(self) -> bool:
-        return (
-            self.nines_sum.delta == self.bumped_sum.delta
-            and self.nines_sum.period == self.bumped_sum.period
-        )
+        return self.nines_sum == self.bumped_sum  # the same raw delta and period
 
     def __str__(self) -> str:
         lines = [

@@ -14,6 +14,7 @@ binary words avoiding the factor 11.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from . import config
@@ -484,6 +485,12 @@ class CircularWord:
 
 # Cached values a rotation or a complement leaves unchanged.
 _ROTATION_KEEPS = ("modulus", "_primitive_length")
+
+
+def _lift_common(words, what: str) -> Iterator[CircularWord]:
+    """The words lifted, one at a time, to their lcm length, capped as ``what``."""
+    length = config.check_period(math.lcm(*map(len, words)), what)
+    return (word.lift(length) for word in words)
 
 
 def _known_word(digits: tuple[int, ...], base: int, **cached) -> CircularWord:

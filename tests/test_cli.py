@@ -222,6 +222,31 @@ class TestVerbs:
         assert err.endswith(f"exceed enumeration cap {config.ENUMERATION_CAP}\n")
         assert err.count("\n") == 1
 
+    def test_irrational_check_exponent_past_the_str_limit(self, capsys):
+        # 4401 digits: int() would refuse the exponent, str() the message
+        degree = "x^1" + "0" * 4400
+        code, out, err = invoke(capsys, "irrational-check", f"{degree}-2")
+        assert (code, out) == (3, "")
+        assert err == (
+            "repetend: capacity exceeded: [14617 bits] coefficients of a "
+            f"degree-[14617 bits] polynomial exceed enumeration cap {config.ENUMERATION_CAP}\n"
+        )
+        code, out, err = invoke(capsys, "irrational-check", f"{degree}+{degree}-2")
+        assert (code, out, err) == (1, "", "repetend: repeated power x^[14617 bits]\n")
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (("eval", "0.(7) * 0.(142857)"), "lifted product"),
+            (("eval", "0.(01) + 0.(001)"), "lifted sum"),
+            (("compare", "0.(01)", "0.(001)"), "lifted comparison"),
+        ],
+    )
+    def test_period_cap_names_the_lift(self, capsys, argv, what):
+        command, *operands = argv
+        err = f"repetend: capacity exceeded: {what} of 6 digits exceeds cap of 5\n"
+        assert invoke(capsys, command, "--max-period", "5", *operands) == (3, "", err)
+
     def test_irrational_check_high_degree_pure_power(self, capsys):
         # the digit-count argument needs no derivative chain
         code, out, err = invoke(capsys, "irrational-check", "x^2000000-2.5")

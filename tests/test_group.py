@@ -122,7 +122,7 @@ class TestStarAddition:
 
     def test_capacity(self):
         config.period_cap = 10
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^lifted sum of 56 digits exceeds cap of 10$"):
             star("1234567") + star("12345678")
 
 

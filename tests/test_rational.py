@@ -189,6 +189,44 @@ class TestDcNegation:
         x = dc("24.181", "65")
         assert x + (-x) == DcNumber.zero(10)
 
+    def test_closed_form_negation_sweep(self, monkeypatch):
+        """-x in closed form equals the complement route canonicalized,
+        comes back canonical, and writes its finite part once."""
+        rng = random.Random(1713)
+        values = []
+        for base in range(2, 37):
+            values.append(DcNumber.zero(base))
+            # zero periods: integers and finite fractions
+            values.append(from_ratio(rng.randint(-999, 999), base ** rng.randint(0, 3), base))
+            for _ in range(6):
+                values.append(from_ratio(rng.randint(-10**4, 10**4), rng.randint(2, 300), base))
+            # a long period: a prime denominator, coprime to every base here
+            den = rng.choice([2003, 3001, 4001, 4999])
+            values.append(from_ratio(rng.randint(-10**6, 10**6), den * base, base))
+        assert any(len(x.period) > 1000 for x in values)
+        assert any(x.period.valuation == 0 and not x.delta.is_zero() for x in values)
+        references = [DcNumber(-x.delta - 1, x.period.complement()).canonical() for x in values]
+        from_scaled = DecimalNumber.from_scaled.__func__
+        calls = []
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_scaled(cls, *args)
+
+        monkeypatch.setattr(DecimalNumber, "from_scaled", classmethod(counted))
+        negated, counts = [], []
+        for x in values:
+            assert x.canonical() is x
+            calls.clear()
+            negated.append(-x)
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert max(counts) <= 1
+        for x, y, reference in zip(values, negated, references):
+            assert y == reference
+            assert y.canonical() is y
+            assert -y == x
+
 
 class TestWcpAddition:
     def test_sevenths(self):
@@ -533,8 +571,9 @@ class TestCanonicalOnce:
         assert canonical == wcp_from_dc(dc_from_wcp(raw))
         assert canonical.to_fraction() == raw.to_fraction()
 
-    def test_canonical_values_come_back_as_they_are(self, monkeypatch):
-        values = [
+    @staticmethod
+    def _canonical_values():
+        return [
             lit("0.(3)"),
             lit("-24.8(37)"),
             lit("-0.00(6)"),
@@ -545,12 +584,20 @@ class TestCanonicalOnce:
             lit("1.(1)", 2) * lit("-0.0(01)", 2),
             -lit("Z.(AZ)", 36),
         ]
+
+    def test_canonical_values_come_back_as_they_are(self, monkeypatch):
+        values = self._canonical_values()
         calls = []
         for module in (words, decimals, rational):
             monkeypatch.setattr(module, "int_to_digits", lambda *args: calls.append(args))
         for value in values:
             assert value.canonical() is value
         assert calls == []
+
+    def test_written_forms_come_back_as_they_are(self):
+        for value in self._canonical_values() + [DcNumber.zero(10), lit("370"), lit("-0.5")]:
+            w = wcp_from_dc(value)
+            assert w.canonical() is w
 
 
 class TestCancellationDemo:
@@ -649,6 +696,12 @@ class TestWallisLcmLaw:
 
 
 class TestCapacity:
+    def test_aligned_period_capacity(self, monkeypatch):
+        monkeypatch.setattr(config, "period_cap", 5)
+        x, y = wcp(1, "0", "01", 0), wcp(-1, "2", "001", -1)
+        with pytest.raises(CapacityError, match="^aligned period of 6 digits exceeds cap of 5$"):
+            align(x, y)
+
     def test_add_capacity(self):
         config.period_cap = 4
         with pytest.raises(CapacityError):
