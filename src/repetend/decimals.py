@@ -115,6 +115,8 @@ class DecimalNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.scaled:
+            return self
         point = max(self.point, other.point)
         return DecimalNumber.from_scaled(
             self.scaled_to(point) + other.scaled_to(point), point, self.base

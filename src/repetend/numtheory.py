@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import ceil, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import config
 from .errors import CapacityError
@@ -202,30 +202,23 @@ class RootClassification:
     verdict: str
 
 
-def classify_root(
-    poly: UnitaryPolynomial, search_bound: int | None = None
-) -> RootClassification:
+def classify_root(poly: UnitaryPolynomial) -> RootClassification:
     """Find all integer roots of a monic polynomial over the integers.
 
-    No factoring: the roots lie within the Cauchy bound 1 + max |a_i|
-    (or ``search_bound``, if smaller), where :func:`_root_floors` isolates
-    them by exact sign changes.  Any real root that is not in the returned
-    list is irrational: a monic integer polynomial has no non-integer
-    rational roots.
+    No factoring: after X**k is peeled off (0 is a root when k > 0),
+    :func:`_root_floors` isolates the roots by exact sign changes within
+    the bound the coefficients give.  Any real root that is not in the
+    returned list is irrational: a monic integer polynomial has no
+    non-integer rational roots.
     """
     coeffs = list(poly.coefficients)
     if any(not isinstance(c, int) for c in coeffs):
         raise ValueError("integer classifier needs integer coefficients")
-    roots = set()
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        # zero constant term: 0 is a root, peel one factor of X
-        roots.add(0)
-        coeffs = coeffs[1:]
+    k = next(i for i, c in enumerate(coeffs) if c)  # the lead is 1
+    roots = {0} if k else set()
+    coeffs = coeffs[k:]
     if len(coeffs) > 1:
-        bound = 1 + max(abs(c) for c in coeffs[:-1])
-        if search_bound is not None:
-            bound = max(0, min(bound, search_bound))
-        floors = _root_floors(coeffs, -bound, bound)
+        floors = _root_floors(coeffs)
         roots.update(x for x in floors if _evaluate(coeffs, x) == 0)
     roots = sorted(roots)
     if roots:
@@ -243,15 +236,19 @@ def _evaluate(f, x):
     return acc
 
 
-def _root_floors(f: list[int], lo: int, hi: int) -> set[int]:
-    """Integers of [lo, hi] including every x with f(x) == 0 or a root of
-    f in (x, x + 1); f has ascending coefficients, not all zero.
+def _root_floors(f: list[int]) -> set[int]:
+    """Integers of [-hi, hi] including every x with f(x) == 0 or a root of
+    f in (x, x + 1); f is monic with ascending coefficients, f(0) != 0.
 
-    Cut at the floors of the roots of f' and one past them.  Between two
-    cuts f is monotone, so bisecting each sign change finds a floor; or
-    the piece is (x, x + 1) around a root of f', and x is listed already.
-    For degree n the chain of derivatives holds about n(n+1)/2
-    coefficients; past the enumeration cap it raises :class:`CapacityError`.
+    Every root z has |z| <= 2 max |a_i|**(1/(n-i)) (Fujiwara), so below
+    hi, that bound with each term rounded up to a power of two; by
+    Gauss-Lucas the roots of every derivative lie there too.  Cut at the
+    floors of the roots of f' and one past them.  Between two cuts f is
+    monotone, so bisecting each sign change finds a floor; or the piece
+    is (x, x + 1) around a root of f', and x is listed already.  The
+    chain holds f**(k)/k!, exact with the signs of f**(k); for degree n
+    it has about n(n+1)/2 coefficients, and past the enumeration cap it
+    raises :class:`CapacityError`.
     """
     n = len(f) - 1
     size = n * (n + 1) // 2
@@ -260,12 +257,13 @@ def _root_floors(f: list[int], lo: int, hi: int) -> set[int]:
             f"{size} coefficients in the derivative chain of a degree-{n} "
             f"polynomial exceed enumeration cap {config.ENUMERATION_CAP}"
         )
-    chain = [f]  # f and its derivatives, down to the linear one
-    while len(chain[-1]) > 2:
-        chain.append([i * c for i, c in enumerate(chain[-1])][1:])
+    hi = 2 << max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(f[:-1]) if c)
+    chain = [f]  # f**(k)/k!, down to the linear one
+    for k in range(1, n):
+        chain.append([i * c // k for i, c in enumerate(chain[-1])][1:])
     floors = set()
     for g in reversed(chain):  # floors holds those of g's derivative
-        cuts = sorted({lo, hi} | floors | {x + 1 for x in floors if x < hi})
+        cuts = sorted({-hi, hi} | floors | {x + 1 for x in floors if x < hi})
         values = [_evaluate(g, x) for x in cuts]
         floors.update(x for x, y in zip(cuts, values) if y == 0)
         for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
@@ -338,15 +336,12 @@ def classify_root_decimal(poly: UnitaryPolynomial, b: int) -> DecimalRootClassif
         return _decimal_report(roots, b, "digit-count plus exact integer root")
 
     # rescale so finite-decimal roots become integer roots: X = Y / b**t
-    t = 0
-    for i, c in enumerate(coeffs[:-1]):
-        if not c.is_zero():
-            t = max(t, ceil(c.point / (n - i)))
-    int_coeffs = []
-    for i, c in enumerate(coeffs[:-1]):
-        scale = t * (n - i) - c.point
-        int_coeffs.append(c.scaled * b**scale)
-    int_coeffs.append(1)
+    t = max(-(-c.point // (n - i)) for i, c in enumerate(coeffs[:-1]))  # 0 has point 0
+    # zeros stay 0: no power of b for the gaps of a sparse polynomial
+    int_coeffs = [
+        c.scaled and c.scaled * b ** (t * (n - i) - c.point)
+        for i, c in enumerate(coeffs)
+    ]
     integer_roots = classify_root(UnitaryPolynomial(tuple(int_coeffs))).integer_roots
     roots = [DecimalNumber.from_scaled(y, t, b) for y in integer_roots]
     return _decimal_report(roots, b, f"rescaled by {b}**{t} to an integer polynomial")

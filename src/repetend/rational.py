@@ -53,7 +53,9 @@ def _carried_sum(delta: DecimalNumber, periods, what: str) -> "DcNumber":
     word = next(lifted)  # map drops each further lift once its value is read
     total = word.valuation + sum(map(attrgetter("valuation"), lifted))
     carry = (total - 1) // word.modulus if total > 0 else 0
-    return DcNumber(delta + carry, word.with_value(total - carry * word.modulus))
+    if carry:
+        delta += carry
+    return DcNumber(delta, word.with_value(total - carry * word.modulus))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from repetend import config, notation, words
@@ -221,6 +223,32 @@ class TestVerbs:
         assert err.startswith(f"repetend: capacity exceeded: {size}")
         assert err.endswith(f"exceed enumeration cap {config.ENUMERATION_CAP}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "polynomial,out",
+        [
+            # X**100000 peeled in one step, not one factor at a time
+            (
+                "x^100000",
+                "integer roots: 0\n"
+                "all real roots outside the integer list are irrational\n",
+            ),
+            # searched within 32, the bound the coefficients give, not
+            # within the Cauchy bound 1 + 3 * 10**400
+            (
+                "x^400+0.5x-3",
+                "no base-10 decimal roots; all real roots are irrational "
+                "(rescaled by 10**1 to an integer polynomial)\n",
+            ),
+        ],
+        ids=["x^100000", "x^400+0.5x-3"],
+    )
+    def test_irrational_check_high_degree_in_time(self, capsys, polynomial, out):
+        start = time.perf_counter()
+        code, printed, err = invoke(capsys, "irrational-check", polynomial)
+        elapsed = time.perf_counter() - start
+        assert (code, printed, err) == (0, out, "")
+        assert elapsed < 2.0
 
     def test_irrational_check_exponent_past_the_str_limit(self, capsys):
         # 4401 digits: int() would refuse the exponent, str() the message

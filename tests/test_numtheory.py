@@ -221,6 +221,86 @@ class TestSplitDenominator:
         assert value.to_fraction() == Fraction(1, 2**20000)
 
 
+def _horner(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def reference_integer_roots(coeffs):
+    """The classifier as it was, kept as a reference: X peeled one factor
+    at a time, the Cauchy bound 1 + max |a_i|, and the chain of plain
+    derivatives, bisected on sign changes between the floors of f' roots."""
+    coeffs = list(coeffs)
+    roots = set()
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        roots.add(0)
+        coeffs = coeffs[1:]
+    if len(coeffs) > 1:
+        bound = 1 + max(abs(c) for c in coeffs[:-1])
+        chain = [coeffs]
+        while len(chain[-1]) > 2:
+            chain.append([i * c for i, c in enumerate(chain[-1])][1:])
+        floors = set()
+        for g in reversed(chain):
+            cuts = sorted({-bound, bound} | floors | {x + 1 for x in floors if x < bound})
+            values = [_horner(g, x) for x in cuts]
+            floors.update(x for x, y in zip(cuts, values) if y == 0)
+            for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
+                if fa * fb < 0:
+                    while b - a > 1:
+                        mid = (a + b) // 2
+                        if (_horner(g, mid) < 0) == (fa < 0):
+                            a = mid
+                        else:
+                            b = mid
+                    floors.update((a, b))
+        roots.update(x for x in floors if _horner(coeffs, x) == 0)
+    return tuple(sorted(roots))
+
+
+def _times(coeffs, factor):
+    """Ascending coefficients of the product of two polynomials."""
+    product = [0] * (len(coeffs) + len(factor) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(factor):
+            product[i + j] += a * b
+    return product
+
+
+def sweep_polynomials(rng, count):
+    """Monic integer polynomials for the reference sweep: products of
+    chosen roots (repeated, some times an irreducible x**2 + c), dense
+    and sparse ones of degree up to 40 with coefficients up to 10**30,
+    and cubes of huge constants, alone and times a squared root."""
+    big = (10**60 + 39, 2**127 - 1)
+    yield [-big[0], 0, 0, 1]
+    yield [-big[1], 0, 0, 1]
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:  # chosen roots, some repeated
+            coeffs = [1]
+            for _ in range(rng.randint(1, 4)):
+                r = rng.randint(-10 ** rng.randint(0, 6), 10 ** rng.randint(0, 6))
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    coeffs = _times(coeffs, [-r, 1])
+            if rng.random() < 0.4:
+                coeffs = _times(coeffs, [rng.randint(1, 10**4), 0, 1])
+        elif kind == 1:  # dense
+            top = 10 ** rng.randint(0, 30)
+            coeffs = [rng.randint(-top, top) for _ in range(rng.randint(1, 40))] + [1]
+        elif kind == 2:  # sparse, X often peeled
+            coeffs = [0] * rng.randint(1, 40) + [1]
+            for _ in range(rng.randint(1, 4)):
+                top = 10 ** rng.randint(0, 30)
+                coeffs[rng.randrange(len(coeffs) - 1)] = rng.randint(-top, top)
+        else:  # (x - r)**2 * (x**3 - big)
+            r = rng.randint(-1000, 1000)
+            coeffs = _times(_times([-r, 1], [-r, 1]), [-rng.choice(big), 0, 0, 1])
+        yield coeffs
+
+
 class TestClassifyRoot:
     def test_sqrt_two(self):
         report = classify_root(UnitaryPolynomial((-2, 0, 1)))
@@ -265,10 +345,11 @@ class TestClassifyRoot:
             poly = UnitaryPolynomial(tuple(coeffs))
             assert classify_root(poly).integer_roots == tuple(sorted(set(roots)))
 
-    def test_search_bound(self):
-        poly = UnitaryPolynomial((-36, 5, 1))  # (x - 4) * (x + 9)
-        assert classify_root(poly, search_bound=5).integer_roots == (4,)
-        assert classify_root(poly, search_bound=3).integer_roots == ()
+    def test_against_the_reference_classifier(self):
+        # the reference bisects the Cauchy range, 10**60 wide here: keep it short
+        for coeffs in sweep_polynomials(random.Random(15), 300):
+            got = classify_root(UnitaryPolynomial(tuple(coeffs))).integer_roots
+            assert got == reference_integer_roots(coeffs), coeffs
 
     def test_monic_enforced(self):
         with pytest.raises(ValueError):

@@ -324,6 +324,32 @@ def test_long_product_writes_its_period_once(monkeypatch):
     assert text.startswith("0.(000000000100002") and len(text) == 499995 + 4
 
 
+def test_zero_carries_leave_the_finite_part(monkeypatch):
+    """A carry of 0, from the periodic sum or a product's cross terms,
+    writes no new finite part: counted in DecimalNumber.from_scaled."""
+    from_scaled = DecimalNumber.from_scaled.__func__
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return from_scaled(cls, *args)
+
+    x, y = notation.parse("24.837(56)"), notation.parse("0.(142857)")
+    monkeypatch.setattr(DecimalNumber, "from_scaled", classmethod(counted))
+    total = x + y
+    assert len(calls) == 0  # both carries are 0: the finite parts' sum is x's own
+    calls.clear()
+    product = x * y
+    assert len(calls) <= 4
+    calls.clear()
+    square = notation.parse("0.(01)") * notation.parse("0.(01)")
+    assert len(calls) <= 9
+    monkeypatch.undo()
+    assert total.to_fraction() == x.to_fraction() + y.to_fraction()
+    assert product.to_fraction() == x.to_fraction() * y.to_fraction()
+    assert square.to_fraction() == Fraction(1, 99**2)
+
+
 class TestWcpMultiplication:
     def test_three_times_a_third(self):
         product = wcp(1, "3", "0", 0) * wcp(1, "0", "3", 0)
