@@ -144,8 +144,9 @@ class StarElement:
     def __add__(self, other: "StarElement") -> "StarElement":
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
-        x, y = words._lift_common((self.representative, other.representative), "lifted sum")
-        value = (x.valuation + y.valuation) % x.modulus
+        length = words._common_length((self.representative, other.representative), "lifted sum")
+        x = self.representative.lift(length)
+        value = (x.valuation + words._lifted_value(other.representative, length)) % x.modulus
         return StarElement.of(x.with_value(value))
 
     def __neg__(self) -> "StarElement":

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import attrgetter
 
 from .decimals import DecimalNumber, scalar_action
 from .group import StarElement, repeating_word
@@ -38,7 +37,8 @@ from .oracle import Fraction
 from .words import (
     CircularWord,
     _check_digits,
-    _lift_common,
+    _common_length,
+    _lifted_value,
     _minimal_digits,
     _spell,
     digits_to_int,
@@ -48,10 +48,10 @@ from .words import (
 
 def _carried_sum(delta: DecimalNumber, periods, what: str) -> "DcNumber":
     """delta plus the periods, summed on the first one's lift to a common
-    length; as digits carry, all-(base-1) stays and only overshoot wraps."""
-    lifted = _lift_common(periods, what)
-    word = next(lifted)  # map drops each further lift once its value is read
-    total = word.valuation + sum(map(attrgetter("valuation"), lifted))
+    length, the rest lifted as values; all-(base-1) stays, overshoot wraps."""
+    length = _common_length(periods, what)
+    word = periods[0].lift(length)
+    total = word.valuation + sum(_lifted_value(p, length) for p in periods[1:])
     carry = (total - 1) // word.modulus if total > 0 else 0
     if carry:
         delta += carry
@@ -160,7 +160,7 @@ class DcNumber:
     def compare(self, other: "DcNumber") -> int:
         """-1, 0 or 1; exact, evaluated on integers only.
 
-        After lifting the periods to a common length ell, with
+        With the periods' values Px, Py lifted to a common length ell,
         m = b**ell - 1 and dx - dy = k * b**-c, x < y iff
         m * k < (Py - Px) * b**c.
         """
@@ -169,10 +169,10 @@ class DcNumber:
         x, y = self.canonical(), other.canonical()
         if x == y:
             return 0
-        px, py = _lift_common((x.period, y.period), "lifted comparison")
+        ell = _common_length((x.period, y.period), "lifted comparison")
         diff = x.delta - y.delta
-        gap = (py.valuation - px.valuation) * self.base**diff.point
-        return -1 if diff.scaled * px.modulus < gap else 1
+        gap = _lifted_value(y.period, ell) - _lifted_value(x.period, ell)
+        return -1 if diff.scaled * (self.base**ell - 1) < gap * self.base**diff.point else 1
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -287,10 +287,10 @@ def align(x: WcpNumber, y: WcpNumber) -> tuple[WcpNumber, WcpNumber]:
         raise ValueError(f"mixed bases {x.base} and {y.base}")
     point = min(x.point, y.point)
     x, y = _lower_point(x, point), _lower_point(y, point)
-    periods = _lift_common((x.period, y.period), "aligned period")
+    length = _common_length((x.period, y.period), "aligned period")
     width = max(len(x.aperiodic), len(y.aperiodic), 1)
     pad = lambda w: (0,) * (width - len(w.aperiodic)) + w.aperiodic
-    return tuple(WcpNumber(w.sign, pad(w), p, point) for w, p in zip((x, y), periods))
+    return tuple(WcpNumber(w.sign, pad(w), w.period.lift(length), point) for w in (x, y))
 
 
 def _lower_point(x: WcpNumber, point: int) -> WcpNumber:

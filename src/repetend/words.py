@@ -14,7 +14,6 @@ binary words avoiding the factor 11.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from . import config
@@ -487,10 +486,16 @@ class CircularWord:
 _ROTATION_KEEPS = ("modulus", "_primitive_length")
 
 
-def _lift_common(words, what: str) -> Iterator[CircularWord]:
-    """The words lifted, one at a time, to their lcm length, capped as ``what``."""
-    length = config.check_period(math.lcm(*map(len, words)), what)
-    return (word.lift(length) for word in words)
+def _common_length(words, what: str) -> int:
+    """The lcm of the words' lengths, capped as ``what``."""
+    return config.check_period(math.lcm(*map(len, words)), what)
+
+
+def _lifted_value(word: CircularWord, length: int) -> int:
+    """The valuation of ``word`` lifted to ``length`` letters, with none of
+    them written: N(w) * R for the repunit R of ``repeat``; 0 stays 0."""
+    count, value = length // len(word), word.valuation
+    return value * _repunit(word.modulus + 1, count) if value and count > 1 else value
 
 
 def _known_word(digits: tuple[int, ...], base: int, **cached) -> CircularWord:
@@ -503,27 +508,43 @@ def _known_word(digits: tuple[int, ...], base: int, **cached) -> CircularWord:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d = 11
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _necklaces(n: int, k: int, avoid_11: bool = False) -> list[int]:
+    """Entry d: the number of necklaces (rotation orbits) of length n >= 1
+    over k letters of primitive length (orbit size) d; with ``avoid_11``,
+    over k = 2 letters with no cyclic factor 11.  FKM in Duval's form: each
+    Lyndon word of length below n is the last one extended periodically to
+    n - 1 letters, stripped of trailing letters k - 1 and raised in its last
+    letter; the orbits of size n are counted from the n-th letter each
+    extension would take.  Prefixes ending in 11 are skipped; of the wraps
+    from last letter to first only 1...1's holds 11 (longer ones start 0)."""
+    if n == 1:
+        return [0, k - avoid_11]
+    counts, w = [0] * (n + 1), [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if not (avoid_11 and w[-2:] == [1, 1]):
+            if n % m == 0 and not (avoid_11 and w == [1]):
+                counts[m] += 1
+            w += [w[i % m] for i in range(m, n - 1)]
+            last = w[(n - 1) % m]  # the periodic extension's n-th letter
+            counts[n] += not (last or w[-1]) if avoid_11 else k - 1 - last
+        while w and w[-1] == k - 1:
+            w.pop()
+    return counts
 
 
 def fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
-    """Decompose all b**p circular words of length p into shift orbits.
+    """Count the shift orbits of the b**p circular words of length p.
 
     Returns ``(orbit_count, constant_count)`` where ``orbit_count`` is the
     number of size-p orbits and ``constant_count`` the number of constant
-    words (orbits of size 1).  Since the decomposition is exhaustive,
-    b**p == orbit_count * p + constant_count holds exactly, which is the
-    congruence b**p == b (mod p).
+    words (orbits of size 1).  Each orbit is counted once, from its
+    necklace, in memory of size p, and b**p == orbit_count * p +
+    constant_count, the congruence b**p == b (mod p), is checked exactly.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -534,47 +555,25 @@ def fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
         raise CapacityError(
             f"{b}**{p} = {total} words exceed enumeration cap {config.ENUMERATION_CAP}"
         )
-    bp1 = b ** (p - 1)
-    visited = bytearray(total)
-    orbit_count = 0
-    constant_count = 0
-    for x in range(total):
-        if visited[x]:
-            continue
-        size = 0
-        y = x
-        while True:
-            visited[y] = 1
-            size += 1
-            q, r = divmod(y, b)
-            y = r * bp1 + q  # left rotation of the digit word
-            if y == x:
-                break
-        if size == 1:
-            constant_count += 1
-        else:
-            # p prime: a nonconstant word is fixed by no nontrivial rotation.
-            if size != p:
-                raise RuntimeError(f"orbit of size {size} under rotation by {p}")
-            orbit_count += 1
+    counts = _necklaces(p, b)
+    constant_count, orbit_count = counts[1], counts[p]
+    # p prime: a nonconstant word is fixed by no nontrivial rotation.
+    for size in range(2, p):
+        if counts[size]:
+            raise RuntimeError(f"orbit of size {size} under rotation by {p}")
     if total != orbit_count * p + constant_count:
         raise RuntimeError(f"{b}**{p} != {orbit_count}*{p} + {constant_count}")
     return orbit_count, constant_count
 
 
 def count_cyclic_binary_avoiding_11(length: int) -> int:
-    """Number of binary circular words of ``length`` with no cyclic factor 11."""
+    """Number of binary circular words of ``length`` with no cyclic factor
+    11: each orbit holds as many words as its primitive length."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if 2**length > config.ENUMERATION_CAP:
         raise CapacityError(f"2**{length} words exceed enumeration cap")
-    count = 0
-    top = length - 1
-    for m in range(2**length):
-        wrapped = (m >> 1) | ((m & 1) << top)
-        if m & wrapped == 0:
-            count += 1
-    return count
+    return sum(size * count for size, count in enumerate(_necklaces(length, 2, True)))
 
 
 def lucas_orbit_count(p: int) -> int:

@@ -350,6 +350,29 @@ def test_zero_carries_leave_the_finite_part(monkeypatch):
     assert square.to_fraction() == Fraction(1, 99**2)
 
 
+def test_lifts_that_only_add_values_write_no_letters(monkeypatch):
+    """The cross terms of 0.(00001) * 0.(00001) are 5-letter words worth 0:
+    they join the 499,995-letter sum as values, so no CircularWord.repeat
+    writes them out; a compare lifts neither side as a word."""
+    repeat = CircularWord.repeat
+    counts = []
+
+    def counted(word, n):
+        counts.append(n)
+        return repeat(word, n)
+
+    x, y = notation.parse("0.(00001)"), notation.parse("0.(01)")
+    monkeypatch.setattr(CircularWord, "repeat", counted)
+    square = x * x
+    assert [n for n in counts if n > 1] == []
+    assert len(square.period) == 499_995
+    counts.clear()
+    assert x.compare(y) == -1 and y.compare(x) == 1
+    assert [n for n in counts if n > 1] == []
+    monkeypatch.undo()
+    assert square.to_fraction() == Fraction(1, 99999**2)
+
+
 class TestWcpMultiplication:
     def test_three_times_a_third(self):
         product = wcp(1, "3", "0", 0) * wcp(1, "0", "3", 0)

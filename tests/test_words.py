@@ -1,14 +1,17 @@
+import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw, fw
-from repetend import words
+from repetend import config, words
 from repetend.errors import CapacityError
 from repetend.words import (
     CircularWord,
@@ -416,8 +419,8 @@ class TestLucasVariant:
         assert lucas_orbit_count(7) == 29
 
     def test_recurrence_any_length(self):
-        lucas = _lucas_numbers(20)
-        for ell in range(1, 21):
+        lucas = _lucas_numbers(26)
+        for ell in range(1, 27):
             assert count_cyclic_binary_avoiding_11(ell) == lucas[ell]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
@@ -427,3 +430,120 @@ class TestLucasVariant:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             lucas_orbit_count(9)
+
+
+def reference_fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
+    """The orbit count as it was, kept as a reference: every one of the
+    b**p words visited, rotated until it returns, and marked in a map."""
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if not words.is_prime(p):
+        raise ValueError(f"orbit decomposition needs a prime length, got {p}")
+    total = b**p
+    if total > config.ENUMERATION_CAP:
+        raise CapacityError(
+            f"{b}**{p} = {total} words exceed enumeration cap {config.ENUMERATION_CAP}"
+        )
+    bp1 = b ** (p - 1)
+    visited = bytearray(total)
+    orbit_count = 0
+    constant_count = 0
+    for x in range(total):
+        if visited[x]:
+            continue
+        size = 0
+        y = x
+        while True:
+            visited[y] = 1
+            size += 1
+            q, r = divmod(y, b)
+            y = r * bp1 + q  # left rotation of the digit word
+            if y == x:
+                break
+        if size == 1:
+            constant_count += 1
+        else:
+            # p prime: a nonconstant word is fixed by no nontrivial rotation.
+            if size != p:
+                raise RuntimeError(f"orbit of size {size} under rotation by {p}")
+            orbit_count += 1
+    if total != orbit_count * p + constant_count:
+        raise RuntimeError(f"{b}**{p} != {orbit_count}*{p} + {constant_count}")
+    return orbit_count, constant_count
+
+
+def reference_count_cyclic_binary_avoiding_11(length: int) -> int:
+    """The count as it was, kept as a reference: all 2**length bit
+    patterns tested against their rotation by one."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if 2**length > config.ENUMERATION_CAP:
+        raise CapacityError(f"2**{length} words exceed enumeration cap")
+    count = 0
+    top = length - 1
+    for m in range(2**length):
+        wrapped = (m >> 1) | ((m & 1) << top)
+        if m & wrapped == 0:
+            count += 1
+    return count
+
+
+def _orbit_sizes(n, k, allowed):
+    """Entry d: the number of rotation orbits of size d among the allowed
+    words of length n over k letters, found by building every word."""
+    sizes, seen = [0] * (n + 1), set()
+    for word in itertools.product(range(k), repeat=n):
+        if word not in seen and allowed(word):
+            orbit = {word[i:] + word[:i] for i in range(n)}
+            seen |= orbit
+            sizes[len(orbit)] += 1
+    return sizes
+
+
+class TestNecklaceEnumeration:
+    """The orbit counts enumerate one necklace per orbit; the references
+    visit every word."""
+
+    def test_fermat_matches_the_reference(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19)
+        cases = [(b, p) for b in range(2, 37) for p in primes if b**p <= 10**6]
+        assert len(cases) == 95
+        for b, p in cases:
+            assert fermat_orbit_count(b, p) == reference_fermat_orbit_count(b, p), (b, p)
+
+    def test_binary_count_matches_the_reference(self):
+        for length in range(1, 21):
+            expected = reference_count_cyclic_binary_avoiding_11(length)
+            assert count_cyclic_binary_avoiding_11(length) == expected, length
+
+    def test_orbit_sizes_match_an_enumeration(self):
+        """Composite lengths too, where orbits of every divisor size occur."""
+        for k in range(2, 6):
+            for n in range(1, 13):
+                if k**n <= 5000:
+                    assert words._necklaces(n, k) == _orbit_sizes(n, k, lambda w: True), (n, k)
+        no_11 = lambda w: not any(w[i - 1] == w[i] == 1 for i in range(len(w)))
+        for n in range(1, 13):
+            assert words._necklaces(n, 2, True) == _orbit_sizes(n, 2, no_11), n
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ([0, 2, 1, 0, 0, 6], "orbit of size 2 under rotation by 5"),
+            ([0, 2, 0, 0, 0, 5], "2**5 != 5*5 + 2"),
+        ],
+    )
+    def test_counts_are_checked(self, monkeypatch, counts, message):
+        monkeypatch.setattr(words, "_necklaces", lambda n, k, avoid_11=False: counts)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            fermat_orbit_count(2, 5)
+
+    def test_memory_stays_below_the_words_map(self):
+        b, p = 3, 13  # the reference's map is b**p = 1,594,323 bytes
+        tracemalloc.start()
+        try:
+            assert fermat_orbit_count(b, p) == (122640, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 < b**p // 20
