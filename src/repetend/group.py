@@ -1,18 +1,18 @@
 """Circular words under carry-wrapping addition, and their product.
 
 Fixed-length words with the all-(base-1) word identified to the all-zero
-word form an abelian group isomorphic to the integers modulo b**len - 1;
-addition is done on valuations through that isomorphism, with a genuine
-digit-by-digit routine kept alongside as an independent cross-check.
-Words of different lengths combine after lifting to the least common
-multiple, and results collapse to their primitive period.
+word form an abelian group isomorphic to the integers modulo b**len - 1.
+Addition is done on valuations through that isomorphism, and checked in
+the tests against a digit-by-digit routine.  Words of different lengths
+combine after lifting to the least common multiple, and results collapse
+to their primitive period.
 
 The product of two circular words is the circular word of the product of
 the values the operands denote as pure repeating fractions.  For a pair
 of single letters p, p' in base b it is the length-(b-1) word with value
 p * p' * (1 + sum (b-i-2) b**i); longer operands reduce to that case by a
-change of base, and the production route evaluates the same product on
-valuations so the enormous intermediate word never has to be built.
+change of base.  The tests build that enormous word literally; this module
+evaluates the same product on valuations and never builds it.
 Note the identification regimes differ: for addition the all-(base-1)
 word is zero, for multiplication it is the neutral element, so star
 elements keep it intact and only additive results collapse it.
@@ -21,9 +21,9 @@ elements keep it intact and only additive results collapse it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from . import config, words
+from . import words
 from .numtheory import multiplicative_order
 from .words import CircularWord, digits_to_int
 
@@ -86,32 +86,6 @@ class GroupElement:
         return f"{self.word}~"
 
 
-def circular_carry_add(a: CircularWord, b: CircularWord) -> CircularWord:
-    """Digit-wise addition where the carry leaving the leftmost position
-    re-enters at the rightmost, iterated to a fixed point.
-
-    Kept independent of the modular route on purpose; the two must agree
-    and tests hold them to that.
-    """
-    if a.base != b.base:
-        raise ValueError(f"mixed bases {a.base} and {b.base}")
-    if len(a) != len(b):
-        raise ValueError(f"mixed lengths {len(a)} and {len(b)}")
-    base = a.base
-    digits = [p + q for p, q in zip(a.digits, b.digits)]
-    carry = 0
-    for _ in range(4):  # provably stabilizes well before this
-        for i in reversed(range(len(digits))):
-            total = digits[i] + carry
-            digits[i] = total % base
-            carry = total // base
-        if carry == 0:
-            break
-    if carry:
-        raise RuntimeError("circular carry did not settle")
-    return CircularWord(tuple(digits), base)
-
-
 @dataclass(frozen=True)
 class StarElement:
     """A primitive circular word, one representative per power class."""
@@ -158,9 +132,9 @@ class StarElement:
     def __mul__(self, other: "StarElement") -> "StarElement":
         """Circular product via exact valuation arithmetic.
 
-        Evaluates the same product as :func:`circular_product_expanded`
-        but reads off the primitive result directly: the product value
-        u/v in lowest terms is purely repeating with period equal to the
+        Evaluates the same product as the tests' literal construction but
+        reads off the primitive result directly: the product value u/v in
+        lowest terms is purely repeating with period equal to the
         multiplicative order of the base modulo v.
         """
         if self.base != other.base:
@@ -203,24 +177,3 @@ def single_letter_multiplier(base: int) -> int:
     digits = list(range(1, base - 2)) + [base - 1]
     return digits_to_int(digits, base)
 
-
-def circular_product_expanded(x: StarElement, y: StarElement) -> StarElement:
-    """Circular product by literal construction, for cross-checks.
-
-    Lifts both operands to a common length L, regroups digits into blocks
-    so each becomes a single letter in base b**L, multiplies the letters
-    with :func:`single_letter_multiplier`, writes out the full product
-    word of length L*(b**L - 1), and only then collapses it to its
-    primitive period.  Feasible for small lifts only.
-    """
-    if x.base != y.base:
-        raise ValueError(f"mixed bases {x.base} and {y.base}")
-    b = x.base
-    length = lcm(len(x.representative), len(y.representative))
-    big_base = b**length
-    config.check_period(length * (big_base - 1), "expanded product")
-    p = x.representative.lift(length).valuation
-    q = y.representative.lift(length).valuation
-    value = p * q * single_letter_multiplier(big_base)
-    word = CircularWord.from_int(value, b, length * (big_base - 1))
-    return StarElement.of(word)

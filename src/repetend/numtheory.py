@@ -1,7 +1,7 @@
 """Period-length laws, repunit divisibility, product-length bounds, and
 the integer-or-irrational classifier for monic polynomials.
 
-Every closed formula here is paired with a brute-force scan so tests can
+The tests pair the closed formulas here with brute-force scans and
 confront the two ("formula value" vs. "first n that actually works").
 """
 
@@ -87,26 +87,6 @@ def period_length(v: int, b: int) -> PeriodLengthReport:
     return PeriodLengthReport(v, b, t, ell, witness)
 
 
-def lcm_divisibility(ell: int, ell2: int, b: int) -> int:
-    """Smallest n with b**n - 1 divisible by both b**ell - 1 and
-    b**ell2 - 1; equals lcm(ell, ell2)."""
-    if ell < 1 or ell2 < 1:
-        raise ValueError("lengths must be >= 1")
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    return lcm(ell, ell2)
-
-
-def lcm_divisibility_scan(ell: int, ell2: int, b: int, limit: int) -> int:
-    """Brute-force companion of :func:`lcm_divisibility`: scan n upward."""
-    d1, d2 = b**ell - 1, b**ell2 - 1
-    for n in range(1, limit + 1):
-        m = b**n - 1
-        if m % d1 == 0 and m % d2 == 0:
-            return n
-    raise ValueError(f"no n <= {limit} found")
-
-
 def product_period_length(ell: int, ell2: int, b: int) -> int:
     """Smallest n with (b**ell - 1)(b**ell2 - 1) dividing b**n - 1:
     (b**gcd(ell, ell2) - 1) * lcm(ell, ell2)."""
@@ -115,34 +95,6 @@ def product_period_length(ell: int, ell2: int, b: int) -> int:
     if b < 2:
         raise ValueError("base must be >= 2")
     return (b ** gcd(ell, ell2) - 1) * lcm(ell, ell2)
-
-
-def product_period_scan(ell: int, ell2: int, b: int, limit: int | None = None) -> int:
-    """Brute-force minimal n with (b**ell - 1)(b**ell2 - 1) | b**n - 1.
-
-    Only multiples of lcm(ell, ell2) can work, so the scan steps by the
-    lcm with an incrementally maintained power.
-    """
-    modulus = (b**ell - 1) * (b**ell2 - 1)
-    m = lcm(ell, ell2)
-    if limit is None:
-        limit = product_period_length(ell, ell2, b)
-    step = pow(b, m, modulus)
-    acc = step
-    n = m
-    while acc != 1 % modulus:
-        n += m
-        if n > limit:
-            raise ValueError(f"no n <= {limit} found")
-        acc = acc * step % modulus
-    return n
-
-
-def general_square_length(b: int) -> int:
-    """Generic minimal period of a product of two length-2 periods."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    return 2 * (b**2 - 1)
 
 
 def integer_nth_root(m: int, n: int) -> int | None:

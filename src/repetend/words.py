@@ -511,6 +511,11 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _past_enumeration_cap(b: int, n: int) -> bool:
+    """b**n > ENUMERATION_CAP for b >= 2, with no power built past 2**bits > cap."""
+    return b ** min(n, config.ENUMERATION_CAP.bit_length()) > config.ENUMERATION_CAP
+
+
 def _necklaces(n: int, k: int, avoid_11: bool = False) -> list[int]:
     """Entry d: the number of necklaces (rotation orbits) of length n >= 1
     over k letters of primitive length (orbit size) d; with ``avoid_11``,
@@ -548,20 +553,20 @@ def fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
+    if _past_enumeration_cap(b, p):  # before is_prime, which is slow for a large p
+        total = f" = {b**p}" if p * (b - 1).bit_length() <= 3 * 4300 else ""  # <= 8**4300
+        raise CapacityError(
+            f"{b}**{p}{total} words exceed enumeration cap {config.ENUMERATION_CAP}"
+        )
     if not is_prime(p):
         raise ValueError(f"orbit decomposition needs a prime length, got {p}")
-    total = b**p
-    if total > config.ENUMERATION_CAP:
-        raise CapacityError(
-            f"{b}**{p} = {total} words exceed enumeration cap {config.ENUMERATION_CAP}"
-        )
     counts = _necklaces(p, b)
     constant_count, orbit_count = counts[1], counts[p]
     # p prime: a nonconstant word is fixed by no nontrivial rotation.
     for size in range(2, p):
         if counts[size]:
             raise RuntimeError(f"orbit of size {size} under rotation by {p}")
-    if total != orbit_count * p + constant_count:
+    if b**p != orbit_count * p + constant_count:
         raise RuntimeError(f"{b}**{p} != {orbit_count}*{p} + {constant_count}")
     return orbit_count, constant_count
 
@@ -571,7 +576,7 @@ def count_cyclic_binary_avoiding_11(length: int) -> int:
     11: each orbit holds as many words as its primitive length."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    if 2**length > config.ENUMERATION_CAP:
+    if _past_enumeration_cap(2, length):
         raise CapacityError(f"2**{length} words exceed enumeration cap")
     return sum(size * count for size, count in enumerate(_necklaces(length, 2, True)))
 
@@ -584,7 +589,7 @@ def lucas_orbit_count(p: int) -> int:
     constraint is rotation-invariant and only the two constant words 0...0
     and 1...1 could be fixed by a rotation (1...1 is excluded, 0...0 kept).
     """
-    if not is_prime(p):
+    if not _past_enumeration_cap(2, p) and not is_prime(p):  # else the count's cap error
         raise ValueError(f"need a prime length, got {p}")
     count = count_cyclic_binary_avoiding_11(p)
     if count % p != 1:

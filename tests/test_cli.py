@@ -1,8 +1,12 @@
+import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repetend import config, notation, words
+from repetend import config, notation, oracle, words
 from repetend.cli import run
 from repetend.oracle import Fraction
 
@@ -181,6 +185,40 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "lucas", "7")
         assert (code, out) == (0, "count=29 residue=1 (mod 7)\n")
 
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (
+                ("fermat", "--base", "36", "5"),
+                "orbits=12093228 constants=36 identity=36^5=12093228*5+36\n",
+            ),
+            (("lucas", "23"), "count=64079 residue=1 (mod 23)\n"),
+        ],
+        ids=["fermat-36-5", "lucas-23"],
+    )
+    def test_orbit_counts_within_the_enumeration_cap(self, capsys, argv, out):
+        assert invoke(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            # 2**p has more than 4300 digits: str() would refuse it
+            (("fermat", "--base", "2", "15013"), "2**15013 words"),
+            (("fermat", "--base", "2", "1000003"), "2**1000003 words"),
+            # a prime past 10**12: trial division or 2**p would not finish
+            (("lucas", "1000000000039"), "2**1000000000039 words"),
+        ],
+        ids=["fermat-2-15013", "fermat-2-1000003", "lucas-1000000000039"],
+    )
+    def test_orbit_counts_past_the_enumeration_cap(self, capsys, argv, what):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        cap = f" {config.ENUMERATION_CAP}" if argv[0] == "fermat" else ""
+        assert (code, out) == (3, "")
+        assert err == f"repetend: capacity exceeded: {what} exceed enumeration cap{cap}\n"
+        assert elapsed < 1.0
+
     def test_irrational_check_integer(self, capsys):
         code, out, _ = invoke(capsys, "irrational-check", "x^2-2")
         assert code == 0
@@ -316,3 +354,181 @@ class TestOutputContract:
         if verb == "from-frac" or verb == "eval":
             reparsed = notation.parse(literal, 10)
             assert notation.format_dc(reparsed) == literal
+
+
+# -- a property-based gate over every verb --------------------------------
+
+_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LITERAL = re.compile(r"(-?)([0-9A-Za-z]*)(?:\.([0-9A-Za-z]*))?(?:\(([0-9A-Za-z]+)\))?")
+
+
+def _oracle_value(text: str, base: int):
+    """The value of a literal ``[-]W.F(P)``, read with ``int()`` and the
+    fraction oracle alone; None where it is not a literal of ``base``."""
+    m = _LITERAL.fullmatch(text)
+    if not m or not any(m.groups()[1:]):
+        return None
+    sign, whole, frac, period = m.group(1), m.group(2), m.group(3) or "", m.group(4)
+    try:
+        scale = base ** len(frac)
+        value = Fraction(int(whole + frac or "0", base), scale)
+        if period:
+            value += Fraction(int(period, base), scale * (base ** len(period) - 1))
+    except ValueError:  # a letter out of range for the base
+        return None
+    return -value if sign else value
+
+
+def _draw_literal(draw, base: int) -> str:
+    """An unsigned literal: letters of ``base`` in either case, now and then
+    one letter of any base or one that is no letter at all."""
+    letters = _ALPHABET[:base] + _ALPHABET[10:base].lower()
+    part = st.text(st.sampled_from(letters), max_size=3)
+    whole, frac = draw(part), draw(st.none() | part)
+    period = draw(st.none() | part.filter(bool))
+    text = whole + ("" if frac is None else "." + frac)
+    text = (text or "0") + ("" if period is None else f"({period})")
+    if draw(st.integers(0, 9)) == 0:
+        text += draw(st.sampled_from(_ALPHABET + "!"))
+    return text
+
+
+def _apply(op: str, x, y):
+    if x is None or y is None:
+        return None
+    if op == "/":
+        return x / y if y.numerator else None
+    return {"+": x + y, "-": x - y, "*": x * y}[op]
+
+
+def _draw_eval(draw, base):
+    text = _draw_literal(draw, base)
+    value = _oracle_value(text, base)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from("+-*/"))
+        literal = _draw_literal(draw, base)
+        rhs = _oracle_value(literal, base)
+        if draw(st.booleans()):
+            literal, rhs = f"(-{literal})", None if rhs is None else -rhs
+        text, value = f"({text}) {op} {literal}", _apply(op, value, rhs)
+    return [text], value
+
+
+def _draw_to_frac(draw, base):
+    literal = _draw_literal(draw, base)
+    return [literal], _oracle_value(literal, base)
+
+
+def _draw_from_frac(draw, base):
+    u, v = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**4))
+    return [f"{draw(st.sampled_from(['', '+']))}{u}/{v}"], Fraction(u, v) if v else None
+
+
+def _draw_compare(draw, base):
+    first, second = _draw_literal(draw, base), _draw_literal(draw, base)
+    x, y = _oracle_value(first, base), _oracle_value(second, base)
+    return [first, second], None if x is None or y is None else oracle.compare(x, y)
+
+
+def _draw_convert(draw, base):
+    return ["--to", draw(st.sampled_from(["wcp", "dc"])), _draw_literal(draw, base)], None
+
+
+def _draw_period_length(draw, base):
+    return [str(draw(st.integers(0, 10**12)))], None
+
+
+def _draw_product_length(draw, base):
+    return [str(draw(st.integers(-1, 40))), str(draw(st.integers(1, 40)))], None
+
+
+# primes and composites, within the enumeration cap and past it
+_FERMAT_P = [-3, 0, 1, 2, 3, 4, 9, 15012, 15013, 1000003, 10**12 + 39, 10**12 + 40]
+_LUCAS_P = [1, 2, 3, 7, 9, 13, 23, 25, 27, 29, 15013, 10**12 + 39, 10**12 + 40]
+
+
+def _draw_fermat(draw, base):
+    return [str(draw(st.sampled_from(_FERMAT_P)))], None
+
+
+def _draw_lucas(draw, base):
+    return [str(draw(st.sampled_from(_LUCAS_P)))], None
+
+
+def _draw_irrational_check(draw, base):
+    """A polynomial whose coefficients are integers or finite literals of
+    ``base`` (x is the variable, so never a letter); mostly monic."""
+    letters = _ALPHABET[:base].replace("X", "")
+    coefficient = st.text(st.sampled_from(letters), min_size=1, max_size=2)
+    degree = draw(st.integers(1, 12))
+    text = draw(st.sampled_from(["", "", "", "2"])) + f"x^{degree}"
+    for power in sorted(draw(st.sets(st.integers(0, degree), max_size=3)), reverse=True):
+        c = draw(coefficient)
+        if draw(st.booleans()):
+            c += "." + draw(coefficient)
+        text += draw(st.sampled_from("+-")) + c + (f"x^{power}" if power else "")
+    return [text], None
+
+
+def _draw_period_growth(draw, base):
+    letters = _ALPHABET[:base] + draw(st.sampled_from(["", "Z"]))
+    period = draw(st.text(st.sampled_from(letters), min_size=1, max_size=3))
+    return [period, str(draw(st.integers(0, 4)))], None
+
+
+_VERBS = {
+    "eval": _draw_eval,
+    "to-frac": _draw_to_frac,
+    "from-frac": _draw_from_frac,
+    "compare": _draw_compare,
+    "convert": _draw_convert,
+    "period-length": _draw_period_length,
+    "product-length": _draw_product_length,
+    "fermat": _draw_fermat,
+    "lucas": _draw_lucas,
+    "irrational-check": _draw_irrational_check,
+    "period-growth": _draw_period_growth,
+}
+
+_ORACLE_VERBS = ("eval", "to-frac", "from-frac", "compare")
+
+
+def _agrees_with_oracle(verb: str, out: str, base: int, expected) -> bool:
+    """Whether a successful run printed the value the oracle expects."""
+    text = out.removesuffix("\n")
+    if verb in ("eval", "from-frac"):
+        return _oracle_value(text, base) == expected
+    if verb == "to-frac":
+        u, v = map(int, text.split("/"))
+        return (u, v) == (expected.numerator, expected.denominator)
+    return text == "<=>"[expected + 1]  # compare
+
+
+class TestPropertyGate:
+    """Every verb, in every base, with a small --max-period: the CLI
+    prints an answer or exits 1, 2 or 3 with one line on stderr, and
+    what ``eval``, ``to-frac``, ``from-frac`` and ``compare`` print is
+    what the fraction oracle computes."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_every_verb(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        cap = data.draw(st.integers(1, 300), label="max_period")
+        # eval, the one verb that combines values, three times as often
+        verb = data.draw(st.sampled_from(sorted(_VERBS) + ["eval"] * 2), label="verb")
+        operands, expected = _VERBS[verb](data.draw, base)
+        argv = [verb, "--base", str(base), "--max-period", str(cap), *operands]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        if code == 0:
+            assert err == "" and out.endswith("\n"), argv
+            if verb in _ORACLE_VERBS:
+                assert expected is not None, argv
+                assert _agrees_with_oracle(verb, out, base, expected), (argv, out)
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+            assert "Traceback" not in err and "Exceeds the limit" not in err, argv

@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import cw
+from conftest import cw, reference_product_period_scan
 from repetend import config
 from repetend.decimals import DecimalNumber
 from repetend.errors import CapacityError
@@ -12,19 +12,16 @@ from repetend.numtheory import (
     UnitaryPolynomial,
     classify_root,
     classify_root_decimal,
-    general_square_length,
     integer_nth_root,
-    lcm_divisibility,
-    lcm_divisibility_scan,
     multiplicative_order,
     period_growth,
     period_length,
     product_period_length,
-    product_period_scan,
     split_denominator,
 )
 from repetend.oracle import Fraction
 from repetend.rational import from_fraction
+from repetend.words import _common_length
 
 
 class TestMultiplicativeOrder:
@@ -112,14 +109,27 @@ class TestPeriodLength:
                     assert report.witness * v == base**report.period_len - 1
 
 
+def reference_lcm_divisibility_scan(ell: int, ell2: int, b: int, limit: int) -> int:
+    """Brute-force companion of the lcm every lift uses: scan n upward."""
+    d1, d2 = b**ell - 1, b**ell2 - 1
+    for n in range(1, limit + 1):
+        m = b**n - 1
+        if m % d1 == 0 and m % d2 == 0:
+            return n
+    raise ValueError(f"no n <= {limit} found")
+
+
 class TestLcmDivisibility:
+    """The smallest n with b**n - 1 divisible by both b**ell - 1 and
+    b**ell2 - 1 is the length two words of those lengths lift to."""
+
     def test_basic(self):
-        assert lcm_divisibility(2, 3, 10) == 6
-        assert lcm_divisibility(5, 5, 10) == 5
+        assert _common_length((cw("12"), cw("123")), "lifted sum") == 6
+        assert _common_length((cw("12345"), cw("54321")), "lifted sum") == 5
 
     def test_scan_confirms(self):
-        assert lcm_divisibility_scan(4, 6, 2, 12) == 12
-        assert lcm_divisibility(4, 6, 2) == 12
+        assert reference_lcm_divisibility_scan(4, 6, 2, 12) == 12
+        assert _common_length((cw("0101", 2), cw("011011", 2)), "lifted sum") == 12
 
     def test_divisibility_equivalence(self):
         # b**n - 1 divisible by b**ell - 1 iff ell divides n
@@ -139,7 +149,7 @@ class TestProductPeriodLength:
 
     def test_mixed_lengths(self):
         assert product_period_length(2, 3, 10) == 54
-        assert product_period_scan(2, 3, 10) == 54
+        assert reference_product_period_scan(2, 3, 10) == 54
 
     def test_scan_matches_formula_small(self):
         for b in (2, 3, 5):
@@ -147,25 +157,22 @@ class TestProductPeriodLength:
                 for ell2 in range(1, 4):
                     if (b**ell - 1) * (b**ell2 - 1) > 10**6:
                         continue
-                    assert product_period_scan(ell, ell2, b) == product_period_length(
-                        ell, ell2, b
-                    )
+                    formula = product_period_length(ell, ell2, b)
+                    assert reference_product_period_scan(ell, ell2, b) == formula
 
-
-class TestGeneralSquareLength:
+    # the generic square of a length-2 period: 2 * (b**2 - 1)
     @pytest.mark.parametrize("b,expected", [(10, 198), (2, 6), (3, 16)])
-    def test_formula(self, b, expected):
-        assert general_square_length(b) == expected
-        assert general_square_length(b) == product_period_length(2, 2, b)
+    def test_square_formula(self, b, expected):
+        assert product_period_length(2, 2, b) == expected
 
-    def test_scan_witness(self):
+    def test_square_scan_witness(self):
         # smallest n with (b*b-1)**2 | b**n - 1 matches, desk scale
         for b in (2, 3):
             modulus = (b**2 - 1) ** 2
             n = 1
             while (b**n - 1) % modulus:
                 n += 1
-            assert n == general_square_length(b)
+            assert n == product_period_length(2, 2, b)
 
 
 class TestIntegerNthRoot:
@@ -462,6 +469,5 @@ class TestProductLengthAllBases:
                 for ell2 in range(1, 5):
                     if (b**ell - 1) * (b**ell2 - 1) > 10**9:
                         continue
-                    assert product_period_scan(ell, ell2, b) == product_period_length(
-                        ell, ell2, b
-                    )
+                    formula = product_period_length(ell, ell2, b)
+                    assert reference_product_period_scan(ell, ell2, b) == formula
