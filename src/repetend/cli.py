@@ -22,6 +22,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # the options are --name and -h, so "-1+2" or "-3/7" is an operand
+        if arg_string.startswith("-") and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -214,16 +220,15 @@ def _cmd_lucas(args) -> None:
 
 def _cmd_irrational_check(args) -> None:
     coefficients = _parse_polynomial(args.polynomial, args.base)
-    if all(isinstance(c, int) for c in coefficients):
-        report = numtheory.classify_root(UnitaryPolynomial(tuple(coefficients)))
+    poly = UnitaryPolynomial(coefficients)
+    if all(isinstance(c, int) for c in coefficients.values()):
+        report = numtheory.classify_root(poly)
         if report.integer_roots:
             roots = ", ".join(str(r) for r in report.integer_roots)
             print(f"integer roots: {roots}")
         print(report.verdict)
     else:
-        report = numtheory.classify_root_decimal(
-            UnitaryPolynomial(tuple(coefficients)), args.base
-        )
+        report = numtheory.classify_root_decimal(poly, args.base)
         if report.roots:
             roots = ", ".join(str(r) for r in report.roots)
             print(f"decimal roots: {roots}")
@@ -242,9 +247,10 @@ def _shown(n: int) -> str:
     return str(n) if words.digit_count(n, 10) <= 4300 else f"[{n.bit_length()} bits]"
 
 
-def _parse_polynomial(text: str, base: int) -> list:
+def _parse_polynomial(text: str, base: int) -> dict:
     """Read a monic polynomial like ``x^3-3.57`` or ``x^4-10x^2+1`` into
-    ascending coefficients (ints where possible, exact decimals else)."""
+    its written terms, exponent -> coefficient (ints where possible,
+    exact decimals else)."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise UsageError("empty polynomial")
@@ -268,10 +274,7 @@ def _parse_polynomial(text: str, base: int) -> list:
         if m.group("coef") is None:
             coefficient: object = 1
         else:
-            value = notation.parse(m.group("coef"), base)
-            if value.period.valuation != 0:
-                raise ValueError("polynomial coefficients must be finite decimals")
-            delta = value.delta
+            delta = notation.parse(m.group("coef"), base).delta  # no "(": no period
             coefficient = delta.scaled if delta.is_integer() else delta
         if m.group("sign") == "-":
             coefficient = -coefficient
@@ -279,14 +282,12 @@ def _parse_polynomial(text: str, base: int) -> list:
             raise UsageError(f"repeated power x^{_shown(exp)}")
         coeffs[exp] = coefficient
     degree = max(coeffs)
-    if degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
     if degree + 1 > config.ENUMERATION_CAP:
         raise CapacityError(
             f"{_shown(degree + 1)} coefficients of a degree-{_shown(degree)} polynomial "
             f"exceed enumeration cap {config.ENUMERATION_CAP}"
         )
-    return [coeffs.get(i, 0) for i in range(degree + 1)]
+    return coeffs
 
 
 def build_parser() -> _Parser:

@@ -90,8 +90,8 @@ class DecimalNumber:
     def is_zero(self) -> bool:
         return self.scaled == 0
 
-    def is_one(self) -> bool:
-        return self.scaled == 1 and self.point == 0
+    def __bool__(self) -> bool:
+        return self.scaled != 0
 
     def is_integer(self) -> bool:
         return self.point == 0
@@ -139,6 +139,11 @@ class DecimalNumber:
         )
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "DecimalNumber":
+        if n < 0:
+            raise ValueError("a negative power need not be a finite decimal")
+        return DecimalNumber.from_scaled(self.scaled**n, self.point * n, self.base)
 
     def __neg__(self) -> "DecimalNumber":
         return DecimalNumber.from_scaled(-self.scaled, self.point, self.base)

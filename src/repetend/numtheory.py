@@ -114,35 +114,32 @@ def integer_nth_root(m: int, n: int) -> int | None:
     return r if r**n == m else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitaryPolynomial:
-    """A monic polynomial; coefficients ascending, integers or exact
-    base-b decimals (anything with the arithmetic the evaluator needs)."""
+    """A monic polynomial held as its nonzero terms, (exponent, coefficient)
+    by falling exponent, from ascending coefficients or a map exponent ->
+    coefficient whose highest exponent is the degree and carries a 1.
+    Coefficients are integers or exact base-b decimals."""
 
-    coefficients: tuple
+    terms: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        if len(coeffs) < 2:
-            raise ValueError("degree must be >= 1")
-        lead = coeffs[-1]
-        if not _is_one(lead):
+    def __init__(self, coefficients):
+        written = coefficients if isinstance(coefficients, dict) else dict(enumerate(coefficients))
+        degree = max(written, default=0)
+        if degree < 1:
+            raise ValueError("polynomial must have degree >= 1")
+        lead = written[degree]
+        if lead - 1:  # 0 for a lead of 1, integer or decimal
             raise ValueError(f"leading coefficient must be 1, got {lead}")
-        object.__setattr__(self, "coefficients", coeffs)
+        terms = tuple((e, written[e]) for e in sorted(written, reverse=True) if written[e])
+        object.__setattr__(self, "terms", terms)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return self.terms[0][0]
 
     def __call__(self, x):
-        return _evaluate(self.coefficients, x)
-
-
-def _is_one(c) -> bool:
-    if isinstance(c, int):
-        return c == 1
-    is_one = getattr(c, "is_one", None)
-    return is_one() if callable(is_one) else False
+        return _evaluate(self.terms, x)
 
 
 @dataclass(frozen=True)
@@ -163,15 +160,14 @@ def classify_root(poly: UnitaryPolynomial) -> RootClassification:
     returned list is irrational: a monic integer polynomial has no
     non-integer rational roots.
     """
-    coeffs = list(poly.coefficients)
-    if any(not isinstance(c, int) for c in coeffs):
+    if any(not isinstance(c, int) for _, c in poly.terms):
         raise ValueError("integer classifier needs integer coefficients")
-    k = next(i for i, c in enumerate(coeffs) if c)  # the lead is 1
+    k = poly.terms[-1][0]
     roots = {0} if k else set()
-    coeffs = coeffs[k:]
-    if len(coeffs) > 1:
-        floors = _root_floors(coeffs)
-        roots.update(x for x in floors if _evaluate(coeffs, x) == 0)
+    f = tuple((e - k, c) for e, c in poly.terms)
+    if len(f) > 1:
+        floors = _root_floors(f)
+        roots.update(x for x in floors if _evaluate(f, x) == 0)
     roots = sorted(roots)
     if roots:
         verdict = "all real roots outside the integer list are irrational"
@@ -180,17 +176,28 @@ def classify_root(poly: UnitaryPolynomial) -> RootClassification:
     return RootClassification(tuple(roots), verdict)
 
 
-def _evaluate(f, x):
-    """Horner's rule on ascending coefficients."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def _evaluate(terms, x):
+    """Horner's rule on terms by falling exponent, one power of x per gap."""
+    acc, last = 0, terms[0][0]
+    for e, c in terms:
+        acc = acc * x ** (last - e) + c
+        last = e
+    return acc * x**last
 
 
-def _root_floors(f: list[int]) -> set[int]:
+def _check_chain(n: int) -> None:
+    """Refuse a degree-n derivative chain (n(n+1)/2 coefficients, dense) past the cap."""
+    size = n * (n + 1) // 2
+    if size > config.ENUMERATION_CAP:
+        raise CapacityError(
+            f"{size} coefficients in the derivative chain of a degree-{n} "
+            f"polynomial exceed enumeration cap {config.ENUMERATION_CAP}"
+        )
+
+
+def _root_floors(f: tuple) -> set[int]:
     """Integers of [-hi, hi] including every x with f(x) == 0 or a root of
-    f in (x, x + 1); f is monic with ascending coefficients, f(0) != 0.
+    f in (x, x + 1); f is monic, its terms by falling exponent, f(0) != 0.
 
     Every root z has |z| <= 2 max |a_i|**(1/(n-i)) (Fujiwara), so below
     hi, that bound with each term rounded up to a power of two; by
@@ -198,23 +205,22 @@ def _root_floors(f: list[int]) -> set[int]:
     floors of the roots of f' and one past them.  Between two cuts f is
     monotone, so bisecting each sign change finds a floor; or the piece
     is (x, x + 1) around a root of f', and x is listed already.  The
-    chain holds f**(k)/k!, exact with the signs of f**(k); for degree n
-    it has about n(n+1)/2 coefficients, and past the enumeration cap it
-    raises :class:`CapacityError`.
+    chain f**(k)/k!, exact with the signs of f**(k), is built from the
+    linear one up to f as it is read, one level held at a time and only
+    its nonzero terms; a degree past :func:`_check_chain`'s cap raises
+    :class:`CapacityError` before any of it is built.
     """
-    n = len(f) - 1
-    size = n * (n + 1) // 2
-    if size > config.ENUMERATION_CAP:
-        raise CapacityError(
-            f"{size} coefficients in the derivative chain of a degree-{n} "
-            f"polynomial exceed enumeration cap {config.ENUMERATION_CAP}"
-        )
-    hi = 2 << max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(f[:-1]) if c)
-    chain = [f]  # f**(k)/k!, down to the linear one
-    for k in range(1, n):
-        chain.append([i * c // k for i, c in enumerate(chain[-1])][1:])
+    n = f[0][0]
+    _check_chain(n)
+    hi = 2 << max(-(-abs(c).bit_length() // (n - e)) for e, c in f[1:])
+    written = dict(f)
+    g = [(0, 1)]  # f**(n)/n!
     floors = set()
-    for g in reversed(chain):  # floors holds those of g's derivative
+    for k in range(n - 1, -1, -1):  # floors holds those of g's derivative
+        # g becomes f**(k)/k!, as binom(j + k, k) = binom(j + k, k + 1) (k + 1) / j
+        g = [(e + 1, c * (k + 1) // (e + 1)) for e, c in g]
+        if k in written:
+            g.append((0, written[k]))
         cuts = sorted({-hi, hi} | floors | {x + 1 for x in floors if x < hi})
         values = [_evaluate(g, x) for x in cuts]
         floors.update(x for x, y in zip(cuts, values) if y == 0)
@@ -244,36 +250,27 @@ def classify_root_decimal(poly: UnitaryPolynomial, b: int) -> DecimalRootClassif
     """Find all roots of a monic polynomial over exact base-b decimals
     that are themselves finite base-b decimals.
 
-    For a pure power X**n - d the digit-count criterion applies: if d has
-    k fractional digits in lowest terms then d itself, raised from a root
-    with j fractional digits, must satisfy n*j == k, so n not dividing k
-    settles irrationality outright.  The general case rescales X by a
-    power of b so every finite-decimal root becomes an integer root of a
-    monic integer polynomial, handled by :func:`classify_root`.
+    For a pure power X**n - d (its only exponents n and 0) the
+    digit-count criterion applies: if d has k fractional digits in lowest
+    terms then d itself, raised from a root with j fractional digits, must
+    satisfy n*j == k, so n not dividing k settles irrationality outright.
+    The general case rescales X by a power of b, term by term, so every
+    finite-decimal root becomes an integer root of a monic integer
+    polynomial for :func:`classify_root`; the cap of its chain, of degree
+    n less the lowest exponent, is decided before any power of b is built.
     """
     from .decimals import DecimalNumber
 
-    # each distinct integer once: a sparse high-degree polynomial is mostly 0
-    ints = {
-        c: DecimalNumber.from_int(c, b)
-        for c in set(poly.coefficients)
-        if isinstance(c, int)
-    }
-    coeffs = [ints[c] if isinstance(c, int) else c for c in poly.coefficients]
-    if any(c.base != b for c in coeffs):
-        raise ValueError("coefficient base mismatch")
-    n = len(coeffs) - 1
+    zero = DecimalNumber.zero(b)
+    terms = [(e, zero + c) for e, c in poly.terms]  # ints read in base b, other bases refused
+    n = poly.degree
 
-    if n >= 2 and all(c.is_zero() for c in coeffs[1:-1]):
-        d = -coeffs[0]
+    if n >= 2 and {e for e, _ in terms} <= {n, 0}:
+        d = -dict(terms).get(0, zero)
         k = d.point
         if k % n != 0:
-            return DecimalRootClassification(
-                (),
-                f"no base-{b} decimal roots; all real roots are irrational",
-                f"digit-count: a decimal root with j fractional digits needs "
-                f"{n}*j == {k}, impossible",
-            )
+            why = f"a decimal root with j fractional digits needs {n}*j == {k}, impossible"
+            return _decimal_report([], b, f"digit-count: {why}")
         scaled = d.scaled  # d = scaled / b**k in lowest terms
         root_point = k // n
         roots = []
@@ -287,14 +284,11 @@ def classify_root_decimal(poly: UnitaryPolynomial, b: int) -> DecimalRootClassif
                 roots.append(DecimalNumber.from_scaled(-r, root_point, b))
         return _decimal_report(roots, b, "digit-count plus exact integer root")
 
+    _check_chain(n - terms[-1][0])
     # rescale so finite-decimal roots become integer roots: X = Y / b**t
-    t = max(-(-c.point // (n - i)) for i, c in enumerate(coeffs[:-1]))  # 0 has point 0
-    # zeros stay 0: no power of b for the gaps of a sparse polynomial
-    int_coeffs = [
-        c.scaled and c.scaled * b ** (t * (n - i) - c.point)
-        for i, c in enumerate(coeffs)
-    ]
-    integer_roots = classify_root(UnitaryPolynomial(tuple(int_coeffs))).integer_roots
+    t = max((-(-c.point // (n - e)) for e, c in terms[1:]), default=0)
+    rescaled = {e: c.scaled * b ** (t * (n - e) - c.point) for e, c in terms}
+    integer_roots = classify_root(UnitaryPolynomial(rescaled)).integer_roots
     roots = [DecimalNumber.from_scaled(y, t, b) for y in integer_roots]
     return _decimal_report(roots, b, f"rescaled by {b}**{t} to an integer polynomial")
 

@@ -1,3 +1,4 @@
+import argparse
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repetend import config, notation, oracle, words
-from repetend.cli import run
+from repetend.cli import _Parser, run
 from repetend.oracle import Fraction
 
 
@@ -80,6 +81,32 @@ class TestExitCodes:
 
     def test_non_prime_fermat_is_domain_error(self, capsys):
         assert invoke(capsys, "fermat", "--base", "10", "4")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (("eval", "-1+2"), "1\n"),
+            (("from-frac", "-3/7"), "-0.(428571)\n"),
+            (("to-frac", "-1.(5)"), "-14/9\n"),
+            (("eval", "-.5*2"), "-1\n"),
+            (("eval", "-(1)"), "-1\n"),
+            (("eval", "--base", "7", "-1+2"), "1\n"),
+        ],
+        ids=["eval", "from-frac", "to-frac", "eval-point", "eval-paren", "eval-base"],
+    )
+    def test_operand_starting_with_minus(self, capsys, argv, out):
+        # the same bytes as with "--" before the operand
+        *options, operand = argv
+        assert invoke(capsys, *options, "--", operand) == (0, out, "")
+        assert invoke(capsys, *argv) == (0, out, "")
+
+    def test_operands_rely_on_a_private_argparse_hook(self, capsys):
+        # _Parser overrides argparse's _parse_optional (Python 3.10 to 3.13):
+        # renamed there, "-1+2" would again be read as an unknown option
+        assert "_parse_optional" in vars(argparse.ArgumentParser)
+        assert "_parse_optional" in vars(_Parser)
+        code, out, _ = invoke(capsys, "eval", "-h")  # still an option
+        assert code == 0 and out.startswith("usage: repetend eval")
 
     def test_max_period_holds_for_one_run_only(self, capsys):
         assert invoke(capsys, "eval", "--max-period", "5", "1")[:2] == (0, "1\n")
@@ -235,7 +262,10 @@ class TestVerbs:
         assert "integer roots: -2, 2" in out
 
     def test_irrational_check_requires_monic(self, capsys):
-        assert invoke(capsys, "irrational-check", "2x^2-1")[0] == 2
+        # the highest written power is the degree, even with a coefficient 0
+        for polynomial, lead in [("2x^2-1", "2"), ("0x^3+x^2-2", "0")]:
+            err = f"repetend: leading coefficient must be 1, got {lead}\n"
+            assert invoke(capsys, "irrational-check", polynomial) == (2, "", err)
 
     def test_period_growth(self, capsys):
         code, out, _ = invoke(capsys, "period-growth", "--base", "7", "15", "2")
@@ -250,13 +280,18 @@ class TestVerbs:
     @pytest.mark.parametrize(
         "polynomial,size",
         [
-            # the dense coefficient list, then the chain of derivatives
+            # the parser's degree cap, then the chain of derivatives: decided
+            # from the degree, before a rescale builds any power of the base
             ("x^99999999999-2", "100000000000 coefficients of a degree-99999999999"),
             ("x^2000000-2", "2000001000000 coefficients in the derivative chain"),
+            ("x^99999998-2", "4999999850000001 coefficients in the derivative chain"),
+            ("x^99999998+0.5x-3", "4999999850000001 coefficients in the derivative chain"),
         ],
     )
     def test_irrational_check_past_the_enumeration_cap(self, capsys, polynomial, size):
+        start = time.perf_counter()
         code, out, err = invoke(capsys, "irrational-check", polynomial)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err.startswith(f"repetend: capacity exceeded: {size}")
         assert err.endswith(f"exceed enumeration cap {config.ENUMERATION_CAP}\n")
@@ -278,8 +313,14 @@ class TestVerbs:
                 "no base-10 decimal roots; all real roots are irrational "
                 "(rescaled by 10**1 to an integer polynomial)\n",
             ),
+            # a chain of three-term derivatives, not of 3001 coefficients each
+            (
+                "x^3000+x-2",
+                "integer roots: 1\n"
+                "all real roots outside the integer list are irrational\n",
+            ),
         ],
-        ids=["x^100000", "x^400+0.5x-3"],
+        ids=["x^100000", "x^400+0.5x-3", "x^3000+x-2"],
     )
     def test_irrational_check_high_degree_in_time(self, capsys, polynomial, out):
         start = time.perf_counter()
@@ -328,6 +369,8 @@ class TestVerbs:
             (("eval", "1.5e3"), 1, "digit 'e' out of range for base 10"),
             (("period-growth", "G", "3"), 2, "digit 16 out of range for base 10"),
             (("period-growth", "!", "3"), 2, "not a digit: '!'"),
+            # a coefficient admits no "(", so it never carries a period
+            (("irrational-check", "x^2-0.(3)"), 1, "cannot read polynomial at: '(3)'"),
         ],
     )
     def test_letter_messages(self, capsys, argv, code, err):
@@ -393,6 +436,12 @@ def _draw_literal(draw, base: int) -> str:
     return text
 
 
+def _draw_signed(draw, base: int) -> str:
+    """A literal, now and then with a leading "-" that the CLI must read
+    as an operand, not as an option."""
+    return draw(st.sampled_from(["", "-"])) + _draw_literal(draw, base)
+
+
 def _apply(op: str, x, y):
     if x is None or y is None:
         return None
@@ -402,36 +451,39 @@ def _apply(op: str, x, y):
 
 
 def _draw_eval(draw, base):
-    text = _draw_literal(draw, base)
+    text = _draw_signed(draw, base)
     value = _oracle_value(text, base)
-    for _ in range(draw(st.integers(0, 2))):
+    for i in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from("+-*/"))
         literal = _draw_literal(draw, base)
         rhs = _oracle_value(literal, base)
         if draw(st.booleans()):
             literal, rhs = f"(-{literal})", None if rhs is None else -rhs
-        text, value = f"({text}) {op} {literal}", _apply(op, value, rhs)
+        # unary minus binds tighter than any operator: "-a op b" is (-a) op b
+        left = text if i == 0 else f"({text})"
+        text, value = f"{left} {op} {literal}", _apply(op, value, rhs)
     return [text], value
 
 
 def _draw_to_frac(draw, base):
-    literal = _draw_literal(draw, base)
+    literal = _draw_signed(draw, base)
     return [literal], _oracle_value(literal, base)
 
 
 def _draw_from_frac(draw, base):
     u, v = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**4))
-    return [f"{draw(st.sampled_from(['', '+']))}{u}/{v}"], Fraction(u, v) if v else None
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return [f"{sign}{u}/{v}"], Fraction(-u if sign == "-" else u, v) if v else None
 
 
 def _draw_compare(draw, base):
-    first, second = _draw_literal(draw, base), _draw_literal(draw, base)
+    first, second = _draw_signed(draw, base), _draw_signed(draw, base)
     x, y = _oracle_value(first, base), _oracle_value(second, base)
     return [first, second], None if x is None or y is None else oracle.compare(x, y)
 
 
 def _draw_convert(draw, base):
-    return ["--to", draw(st.sampled_from(["wcp", "dc"])), _draw_literal(draw, base)], None
+    return ["--to", draw(st.sampled_from(["wcp", "dc"])), _draw_signed(draw, base)], None
 
 
 def _draw_period_length(draw, base):

@@ -359,8 +359,31 @@ class TestClassifyRoot:
             assert got == reference_integer_roots(coeffs), coeffs
 
     def test_monic_enforced(self):
-        with pytest.raises(ValueError):
-            UnitaryPolynomial((1, 2))
+        # the highest written exponent is the degree, even with a coefficient 0
+        for coefficients, lead in [((1, 2), 2), ((-2, 1, 0), 0), ({3: 0, 2: 1, 0: -2}, 0)]:
+            with pytest.raises(ValueError, match=f"leading coefficient must be 1, got {lead}$"):
+                UnitaryPolynomial(coefficients)
+
+    def test_dense_tuple_and_map_agree(self):
+        dense = UnitaryPolynomial((0, -4, 0, 1))
+        written = UnitaryPolynomial({3: 1, 1: -4})
+        assert dense == written and dense.terms == ((3, 1), (1, -4))
+        assert classify_root(dense) == classify_root(written)
+        dense = decimal_poly((-25, 2), 0, 1)
+        written = UnitaryPolynomial({2: 1, 0: DecimalNumber.from_scaled(-25, 2, 10)})
+        assert dense == written
+        assert classify_root_decimal(dense, 10) == classify_root_decimal(written, 10)
+
+    def test_zero_terms_dropped(self):
+        zero, one = DecimalNumber.zero(10), DecimalNumber.one(10)
+        assert UnitaryPolynomial((zero, 0, one)).terms == ((2, one),)
+        assert UnitaryPolynomial({5: 1, 3: 0, 0: zero}).terms == ((5, 1),)
+
+    def test_evaluates_at_ints_and_decimals(self):
+        poly = UnitaryPolynomial({5: 1, 2: -3, 0: -2})  # gaps of 3 and 2
+        assert poly(2) == 18 and poly(-1) == -6
+        x = DecimalNumber.from_scaled(15, 1, 10)  # 1.5**5 - 3 * 1.5**2 - 2
+        assert poly(x) == DecimalNumber.from_scaled(-115625, 5, 10)
 
     def test_against_scanning_oracle(self):
         rng = random.Random(29)
