@@ -28,8 +28,7 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # one line, and exit 1, not argparse's 2
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -11,12 +11,13 @@ Two interchangeable representations:
   negative while the value is not), far better for arithmetic.
 
 Construction is raw but for finite parts; ``canonical()`` applies the
-identifications (period collapsed to its primitive form, an all-(base-1)
-period bumped into the finite part, leading zeros and the shift freedom
-normalized) so that equal values have equal canonical forms, and returns
-a canonical value as it is.  Arithmetic accepts raw inputs and returns
-canonical results; the semiotic order and the cancellation demonstration
-deliberately keep pre-identification forms visible.
+identifications, so that equal values have equal canonical forms, and
+returns a canonical value as it is.  They live in the DC form (primitive
+period, no all-(base-1) period); a WCP is canonicalized by the round trip
+through it, and ``wcp_from_dc`` writes the canonical WCP with no second
+pass.  Arithmetic accepts raw inputs and returns canonical results; the
+semiotic order and the cancellation demonstration deliberately keep
+pre-identification forms visible.
 
 Fractions appear only at the explicit conversion endpoints; the
 arithmetic itself runs on words, valuations and carries: one routine
@@ -232,31 +233,14 @@ class WcpNumber:
         return Fraction(num, m * self.base**-self.point)
 
     def canonical(self) -> "WcpNumber":
-        """This number itself when the identifications change nothing."""
-        if self.is_zero():
-            return self if self == (zero := WcpNumber.zero(self.base)) else zero
-        base = self.base
-        digits = self.aperiodic
-        period = self.period.primitive_period()
-        if period.digits == (base - 1,):
-            digits = _minimal_digits(self.aperiodic_value + 1, base)
-            period = CircularWord((0,), base)
-        # leading zeros go, but for the whole digit and those after the
-        # point; unshifts only take letters off the end, so this holds
-        significant = bytes(digits).lstrip(b"\0")
-        digits = bytes(max(0, 1 - self.point - len(significant))) + significant
-        # unshift: the last aperiodic letter re-enters the period.  With
-        # none left (a scaled purely periodic value), a trailing zero
-        # rotates out of the significant window the same way, pinning the
-        # rotation (the period is not all-zero here); k unshifts, one rotation
-        cycle, k = period.digits, 0
-        while (digits[-1 - k] if k < len(digits) else 0) == cycle[-1 - k % len(cycle)]:
-            k += 1
-        if k:
-            digits, period = digits[: max(0, len(digits) - k)], period.shift(-k)
-        elif period is self.period and digits == bytes(self.aperiodic):
-            return self
-        return WcpNumber(self.sign, tuple(digits), period, self.point + k)
+        """The round trip through the DC form, where the identifications
+        live: this number itself when that changes nothing."""
+        if "_canonical" not in self.__dict__:
+            form = wcp_from_dc(dc_from_wcp(self))
+            if form != self:
+                return form
+            self.__dict__["_canonical"] = True
+        return self
 
     # -- arithmetic ----------------------------------------------------
 
@@ -335,27 +319,43 @@ def wcp_compare(x: WcpNumber, y: WcpNumber) -> int:
 
 
 def wcp_from_dc(x: DcNumber) -> WcpNumber:
-    """The written form of x: its magnitude, negated once, and its sign."""
+    """The canonical written form of x, with no second pass: its magnitude,
+    negated once, and its sign; the DC form has made the identifications."""
     x = x.canonical()
     sign, x = (-1, -x) if x.is_negative() else (1, x)
-    base, point = x.base, x.delta.point
-    shifted, rest = divmod(base**point * x.period.valuation, x.period.modulus)
-    whole = x.delta.scaled + shifted
-    # rest is the period's value times base**point: the period rotated
-    period = x.period.shift(point).with_value(rest)
-    return WcpNumber(sign, _minimal_digits(whole, base), period, -point).canonical()
+    base, point, period = x.base, x.delta.point, x.period
+    shifted, rest = divmod(base**point * period.valuation, period.modulus)
+    digits = _minimal_digits(x.delta.scaled + shifted, base)
+    digits = (0,) * (point + 1 - len(digits)) + digits  # the letters to the point
+    k = 0  # letters the period takes back
+    if point:  # rest is the period's value times base**point: the period rotated
+        period = period.shift(point).with_value(rest)
+    elif x.delta or rest:
+        # unshift: trailing letters that repeat the period's (zeros past the
+        # first letter) re-enter it, with one rotation.  Only at point 0: at
+        # c > 0 the last letter is the period's letter there plus the finite
+        # part's last, which a canonical finite part has nonzero
+        while (digits[-1 - k] if k < len(digits) else 0) == period.digits[-1 - k % len(period)]:
+            k += 1
+        period = period.shift(-k)
+    form = WcpNumber(sign, digits[: max(0, len(digits) - k)], period, k - point)
+    form.__dict__["_canonical"] = True
+    return form
 
 
 def _dc_from_written(sign: int, finite: DecimalNumber, point: int, period) -> DcNumber:
     """Canonical sign * (finite + 0.(period) * base**-point), period None for
-    none: the one route from a written form, a literal's or a WCP's, to a value."""
+    none: the one route from a written form, a literal's or a WCP's, to a
+    value, and so where a WCP's identifications are made.  A period at
+    point 0 (``W.(P)``) is taken as it is; elsewhere the scalar action of
+    the aligner moves it to the point."""
     base = finite.base
     if period is None:
-        value = DcNumber(finite, CircularWord((0,), base))
-    else:
-        carry, circ = scalar_action(DecimalNumber.from_scaled(1, point, base), period)
-        value = DcNumber(finite + carry, circ)
-    value = value.canonical()
+        period = CircularWord((0,), base)
+    elif point:
+        carry, period = scalar_action(DecimalNumber.from_scaled(1, point, base), period)
+        finite += carry
+    value = DcNumber(finite, period).canonical()
     return -value if sign < 0 else value
 
 

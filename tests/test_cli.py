@@ -83,6 +83,23 @@ class TestExitCodes:
         assert invoke(capsys, "fermat", "--base", "10", "4")[0] == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("eval",),
+            ("compare", "1"),
+            ("fermat", "--base", "x", "5"),
+            ("fermat", "1.5"),
+            ("frobnicate",),
+        ],
+        ids=["no-verb", "no-operand", "one-operand", "bad-base", "bad-int", "unknown-verb"],
+    )
+    def test_usage_error_takes_one_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and ": error: " in err
+
+    @pytest.mark.parametrize(
         "argv,out",
         [
             (("eval", "-1+2"), "1\n"),
@@ -143,6 +160,16 @@ class TestVerbs:
     def test_convert_wcp(self, capsys):
         code, out, _ = invoke(capsys, "convert", "--to", "wcp", "24.837(56)")
         assert (code, out) == (0, "(+, 24837, (56), -3)\n")
+        # trailing letters the period takes back, at point 0 and past it
+        for literal, form in [
+            ("370", "(+, 37, (0), 1)"),
+            ("3.(3)", "(+, 0, (3), 1)"),
+            ("0.(30)", "(+, 0, (03), 1)"),
+            ("-12.(12)", "(-, 0, (12), 2)"),
+            ("9.(9)", "(+, 1, (0), 1)"),
+            ("-0", "(+, 0, (0), 0)"),
+        ]:
+            assert invoke(capsys, "convert", "--to", "wcp", literal) == (0, form + "\n", "")
 
     def test_convert_dc(self, capsys):
         code, out, _ = invoke(capsys, "convert", "--to", "dc", "24.837(56)")
@@ -483,7 +510,8 @@ def _draw_compare(draw, base):
 
 
 def _draw_convert(draw, base):
-    return ["--to", draw(st.sampled_from(["wcp", "dc"])), _draw_signed(draw, base)], None
+    form, literal = draw(st.sampled_from(["wcp", "dc"])), _draw_signed(draw, base)
+    return ["--to", form, literal], _oracle_value(literal, base)
 
 
 def _draw_period_length(draw, base):
@@ -542,7 +570,26 @@ _VERBS = {
     "period-growth": _draw_period_growth,
 }
 
-_ORACLE_VERBS = ("eval", "to-frac", "from-frac", "compare")
+_ORACLE_VERBS = ("eval", "to-frac", "from-frac", "compare", "convert")
+
+_WCP = re.compile(r"\(([+-]), ([0-9A-Z]+), \(([0-9A-Z]+)\), (-?\d+)\)")
+_DC = re.compile(r"\((-?[0-9A-Z]+(?:\.[0-9A-Z]+)?), \(([0-9A-Z]+)\)\)")
+
+
+def _converted_value(text: str, base: int):
+    """The value of ``(+-, W, (P), point)``, (W + 0.(P)) * base**point, or of
+    ``(delta, (P))``, delta + 0.(P), read with ``int()`` and the oracle alone."""
+    if m := _WCP.fullmatch(text):
+        sign, whole, period, point = m.groups()
+        modulus, point = base ** len(period) - 1, int(point)
+        num = int(whole, base) * modulus + int(period, base)
+        value = Fraction(num * base ** max(point, 0), modulus * base ** max(-point, 0))
+        return -value if sign == "-" else value
+    if m := _DC.fullmatch(text):
+        delta, period = m.groups()
+        cycle = Fraction(int(period, base), base ** len(period) - 1)
+        return _oracle_value(delta, base) + cycle
+    return None
 
 
 def _agrees_with_oracle(verb: str, out: str, base: int, expected) -> bool:
@@ -550,6 +597,8 @@ def _agrees_with_oracle(verb: str, out: str, base: int, expected) -> bool:
     text = out.removesuffix("\n")
     if verb in ("eval", "from-frac"):
         return _oracle_value(text, base) == expected
+    if verb == "convert":
+        return _converted_value(text, base) == expected
     if verb == "to-frac":
         u, v = map(int, text.split("/"))
         return (u, v) == (expected.numerator, expected.denominator)
@@ -559,8 +608,9 @@ def _agrees_with_oracle(verb: str, out: str, base: int, expected) -> bool:
 class TestPropertyGate:
     """Every verb, in every base, with a small --max-period: the CLI
     prints an answer or exits 1, 2 or 3 with one line on stderr, and
-    what ``eval``, ``to-frac``, ``from-frac`` and ``compare`` print is
-    what the fraction oracle computes."""
+    what ``eval``, ``to-frac``, ``from-frac``, ``compare`` and ``convert``
+    print is what the fraction oracle computes.  Now and then an operand
+    is missing or ``--base`` is no integer: that is a usage error."""
 
     @settings(max_examples=300)
     @given(st.data())
@@ -570,12 +620,18 @@ class TestPropertyGate:
         # eval, the one verb that combines values, three times as often
         verb = data.draw(st.sampled_from(sorted(_VERBS) + ["eval"] * 2), label="verb")
         operands, expected = _VERBS[verb](data.draw, base)
-        argv = [verb, "--base", str(base), "--max-period", str(cap), *operands]
+        fault = data.draw(st.sampled_from([None] * 8 + ["operand", "base"]), label="fault")
+        if fault == "operand":
+            operands = operands[:-1]
+        written_base = str(base)
+        if fault == "base":
+            written_base = data.draw(st.sampled_from(["x", "1.5", ""]), label="bad_base")
+        argv = [verb, "--base", written_base, "--max-period", str(cap), *operands]
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = run(argv)
         out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2, 3), argv
+        assert code in ((1,) if fault else (0, 1, 2, 3)), argv
         if code == 0:
             assert err == "" and out.endswith("\n"), argv
             if verb in _ORACLE_VERBS:

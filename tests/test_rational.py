@@ -648,6 +648,18 @@ class TestCanonicalOnce:
             w = wcp_from_dc(value)
             assert w.canonical() is w
 
+    def test_formatting_makes_no_round_trip(self, monkeypatch):
+        # wcp_from_dc writes the canonical form, so format_wcp takes it as it is
+        values = self._canonical_values() + [lit("370"), lit("-30"), lit("3.(3)")]
+        values += [DcNumber.zero(10)]
+
+        def refused(x):
+            raise AssertionError(f"{x} was read back to its DC form")
+
+        monkeypatch.setattr(rational, "dc_from_wcp", refused)
+        for value in values:
+            assert lit(out(value), value.base) == value
+
 
 class TestCancellationDemo:
     def test_single_nine_demo(self):
