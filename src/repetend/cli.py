@@ -162,6 +162,14 @@ def _decimal_value(text: str) -> int:
     return words.digits_to_int(tuple(map(int, text)), 10)
 
 
+def _integer(text: str) -> int:
+    """An integer option or operand, spelled as int() reads it, at any length."""
+    if m := re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text):
+        value = _decimal_value(m.group(2).replace("_", ""))
+        return -value if m.group(1) == "-" else value
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _cmd_to_frac(args) -> None:
     fraction = notation.parse(args.literal, args.base).to_fraction()
     print(f"{_decimal_text(fraction.numerator)}/{_decimal_text(fraction.denominator)}")
@@ -241,11 +249,6 @@ def _cmd_period_growth(args) -> None:
     print(" ".join(str(n) for n in lengths))
 
 
-def _shown(n: int) -> str:
-    """n in a message, or its bit length where str() refuses n (past 4300 digits)."""
-    return str(n) if words.digit_count(n, 10) <= 4300 else f"[{n.bit_length()} bits]"
-
-
 def _parse_polynomial(text: str, base: int) -> dict:
     """Read a monic polynomial like ``x^3-3.57`` or ``x^4-10x^2+1`` into
     its written terms, exponent -> coefficient (ints where possible,
@@ -278,25 +281,22 @@ def _parse_polynomial(text: str, base: int) -> dict:
         if m.group("sign") == "-":
             coefficient = -coefficient
         if exp in coeffs:
-            raise UsageError(f"repeated power x^{_shown(exp)}")
+            raise UsageError(f"repeated power x^{config.shown(exp)}")
         coeffs[exp] = coefficient
     degree = max(coeffs)
-    if degree + 1 > config.ENUMERATION_CAP:
-        raise CapacityError(
-            f"{_shown(degree + 1)} coefficients of a degree-{_shown(degree)} polynomial "
-            f"exceed enumeration cap {config.ENUMERATION_CAP}"
-        )
+    polynomial = f"coefficients of a degree-{config.shown(degree)} polynomial"
+    config.check_enumeration(degree + 1, polynomial)
     return coeffs
 
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
-        "--base", type=int, default=10, help="numeration base, 2..36 (default 10)"
+        "--base", type=_integer, default=10, help="numeration base, 2..36 (default 10)"
     )
     common.add_argument(
         "--max-period",
-        type=int,
+        type=_integer,
         default=config.DEFAULT_PERIOD_CAP,
         metavar="N",
         help="largest intermediate period, in digits (default 1000000)",
@@ -344,20 +344,20 @@ def build_parser() -> _Parser:
         parents=[common],
         help="period length bound for a product of two periods",
     )
-    p.add_argument("length", type=int)
-    p.add_argument("length2", type=int)
+    p.add_argument("length", type=_integer)
+    p.add_argument("length2", type=_integer)
     p.set_defaults(func=_cmd_product_length)
 
     p = sub.add_parser(
         "fermat", parents=[common], help="orbit decomposition of length-p words"
     )
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_integer)
     p.set_defaults(func=_cmd_fermat)
 
     p = sub.add_parser(
         "lucas", parents=[common], help="count cyclic binary words avoiding 11"
     )
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_integer)
     p.set_defaults(func=_cmd_lucas)
 
     p = sub.add_parser(
@@ -374,7 +374,7 @@ def build_parser() -> _Parser:
         help="period lengths of successive circular powers",
     )
     p.add_argument("period", help="period digits, e.g. 15")
-    p.add_argument("count", type=int)
+    p.add_argument("count", type=_integer)
     p.set_defaults(func=_cmd_period_growth)
 
     return parser
@@ -386,14 +386,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if not 2 <= args.base <= 36:
-        print(f"repetend: base must be in 2..36, got {args.base}", file=sys.stderr)
-        return 1
-    if args.max_period < 1:
-        print("repetend: --max-period must be positive", file=sys.stderr)
-        return 1
     previous_cap, config.period_cap = config.period_cap, args.max_period
     try:
+        if not 2 <= args.base <= 36:
+            raise UsageError(f"base must be in 2..36, got {config.shown(args.base)}")
+        if args.max_period < 1:
+            raise UsageError("--max-period must be positive")
         args.func(args)
     except UsageError as exc:
         print(f"repetend: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from math import gcd
 
 from . import words
 from .numtheory import multiplicative_order
-from .words import CircularWord, digits_to_int
+from .words import CircularWord
 
 
 def _all_beta(word: CircularWord) -> bool:
@@ -171,9 +171,8 @@ def single_letter_multiplier(base: int) -> int:
     """The factor turning a product of letters into a product word:
     1 + sum of (base-i-2) * base**i over 0 <= i < base-2.
 
-    Its digit word is beta, beta-2, beta-3, ..., 2, 1 read right to left
-    (12345679 in base ten).
+    Its digit word is beta, beta-2, ..., 2, 1 read right to left, and its
+    value (base**(base-1) - 1) / (base-1)**2: (10**9 - 1) / 81 = 12345679.
     """
-    digits = list(range(1, base - 2)) + [base - 1]
-    return digits_to_int(digits, base)
+    return (base ** (base - 1) - 1) // (base - 1) ** 2
 

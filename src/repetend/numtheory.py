@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
 
 from . import config
 from .errors import CapacityError
@@ -88,13 +88,16 @@ def period_length(v: int, b: int) -> PeriodLengthReport:
 
 
 def product_period_length(ell: int, ell2: int, b: int) -> int:
-    """Smallest n with (b**ell - 1)(b**ell2 - 1) dividing b**n - 1:
-    (b**gcd(ell, ell2) - 1) * lcm(ell, ell2)."""
+    """Smallest n with (b**ell - 1)(b**ell2 - 1) dividing b**n - 1, refused past
+    the period cap in digits: (b**g - 1) * lcm(ell, ell2), g = gcd(ell, ell2)."""
     if ell < 1 or ell2 < 1:
         raise ValueError("lengths must be >= 1")
     if b < 2:
         raise ValueError("base must be >= 2")
-    return (b ** gcd(ell, ell2) - 1) * lcm(ell, ell2)
+    g = gcd(ell, ell2)
+    num, den = log10(b).as_integer_ratio()  # b**g has g * log10(b) digits; no float overflow
+    config.check_period(g * num // den, "product period length")
+    return (b**g - 1) * lcm(ell, ell2)
 
 
 def integer_nth_root(m: int, n: int) -> int | None:
@@ -185,16 +188,6 @@ def _evaluate(terms, x):
     return acc * x**last
 
 
-def _check_chain(n: int) -> None:
-    """Refuse a degree-n derivative chain (n(n+1)/2 coefficients, dense) past the cap."""
-    size = n * (n + 1) // 2
-    if size > config.ENUMERATION_CAP:
-        raise CapacityError(
-            f"{size} coefficients in the derivative chain of a degree-{n} "
-            f"polynomial exceed enumeration cap {config.ENUMERATION_CAP}"
-        )
-
-
 def _root_floors(f: tuple) -> set[int]:
     """Integers of [-hi, hi] including every x with f(x) == 0 or a root of
     f in (x, x + 1); f is monic, its terms by falling exponent, f(0) != 0.
@@ -207,11 +200,12 @@ def _root_floors(f: tuple) -> set[int]:
     is (x, x + 1) around a root of f', and x is listed already.  The
     chain f**(k)/k!, exact with the signs of f**(k), is built from the
     linear one up to f as it is read, one level held at a time and only
-    its nonzero terms; a degree past :func:`_check_chain`'s cap raises
-    :class:`CapacityError` before any of it is built.
+    its nonzero terms; n(n+1)/2 coefficients, dense, past the enumeration
+    cap raise :class:`CapacityError` before any of it is built.
     """
     n = f[0][0]
-    _check_chain(n)
+    chain = f"coefficients in the derivative chain of a degree-{n} polynomial"
+    config.check_enumeration(n * (n + 1) // 2, chain)
     hi = 2 << max(-(-abs(c).bit_length() // (n - e)) for e, c in f[1:])
     written = dict(f)
     g = [(0, 1)]  # f**(n)/n!
@@ -284,7 +278,9 @@ def classify_root_decimal(poly: UnitaryPolynomial, b: int) -> DecimalRootClassif
                 roots.append(DecimalNumber.from_scaled(-r, root_point, b))
         return _decimal_report(roots, b, "digit-count plus exact integer root")
 
-    _check_chain(n - terms[-1][0])
+    m = n - terms[-1][0]  # the degree once factors of X are peeled off
+    chain = f"coefficients in the derivative chain of a degree-{m} polynomial"
+    config.check_enumeration(m * (m + 1) // 2, chain)
     # rescale so finite-decimal roots become integer roots: X = Y / b**t
     t = max((-(-c.point // (n - e)) for e, c in terms[1:]), default=0)
     rescaled = {e: c.scaled * b ** (t * (n - e) - c.point) for e, c in terms}
@@ -306,7 +302,7 @@ def period_growth(p, n_max: int) -> list[int]:
 
     Powers are taken with the circular product; the reported length is
     that of the value's shortest period.  The sequence is unbounded but
-    not monotone.
+    not monotone.  A count past the period cap is refused up front.
     """
     from .group import StarElement
 
@@ -315,10 +311,9 @@ def period_growth(p, n_max: int) -> list[int]:
     base = StarElement.of(p) if not isinstance(p, StarElement) else p
     if base.representative.valuation == 0:
         raise ValueError("period growth needs a nontrivial word")
-    lengths = []
-    acc = base
-    for k in range(1, n_max + 1):
-        if k > 1:
-            acc = acc * base
+    config.check_period(n_max, "period growth list")
+    lengths, acc = [len(base.representative)], base
+    for _ in range(n_max - 1):
+        acc = acc * base
         lengths.append(len(acc.representative))
     return lengths

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from . import config
-from .errors import CapacityError
 
 # The alphabet: letters 0-9 then A-Z, read in either case.  _letters and
 # _spell are the only reader and writer of letters as text.  They stay
@@ -256,30 +255,25 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
 
 
 def digits_to_int(digits, base: int) -> int:
-    """Positional value of a big-endian digit sequence (empty -> 0).
+    """Positional value of a big-endian digit sequence in base 2..36 (empty -> 0).
 
     ``int`` reads runs of up to a few thousand digits, and a power-of-two
     base at any length, in C; longer runs in other bases are halved
     recursively and joined with powers of the base cached per call.
-    Bases past the 36-letter alphabet (block letters of the circular
-    product) take the same split with digit-by-digit leaves.
     """
     if len(digits) <= _SMALL:
         return _horner(digits, base)
-    if base > len(_DIGIT_CHARS):
-        return _join(digits, 0, len(digits), _Powers(base), _SMALL, _horner)
     text = bytes(digits).translate(_TO_ASCII)
     if base & (base - 1) == 0:
         return int(text, base)
-    return _join(text, 0, len(text), _Powers(base), _LEAF_DIGITS, int)
+    return _join(text, 0, len(text), _Powers(base))
 
 
-def _join(digits, lo: int, hi: int, powers: _Powers, leaf: int, read) -> int:
-    if hi - lo <= leaf:
-        return read(digits[lo:hi], powers.base)
+def _join(text: bytes, lo: int, hi: int, powers: _Powers) -> int:
+    if hi - lo <= _LEAF_DIGITS:
+        return int(text[lo:hi], powers.base)
     mid = (lo + hi + 1) // 2
-    high = _join(digits, lo, mid, powers, leaf, read)
-    return high * powers[hi - mid] + _join(digits, mid, hi, powers, leaf, read)
+    return _join(text, lo, mid, powers) * powers[hi - mid] + _join(text, mid, hi, powers)
 
 
 def _horner(digits, base: int) -> int:
@@ -511,11 +505,6 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _past_enumeration_cap(b: int, n: int) -> bool:
-    """b**n > ENUMERATION_CAP for b >= 2, with no power built past 2**bits > cap."""
-    return b ** min(n, config.ENUMERATION_CAP.bit_length()) > config.ENUMERATION_CAP
-
-
 def _necklaces(n: int, k: int, avoid_11: bool = False) -> list[int]:
     """Entry d: the number of necklaces (rotation orbits) of length n >= 1
     over k letters of primitive length (orbit size) d; with ``avoid_11``,
@@ -553,13 +542,9 @@ def fermat_orbit_count(b: int, p: int) -> tuple[int, int]:
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    if _past_enumeration_cap(b, p):  # before is_prime, which is slow for a large p
-        total = f" = {b**p}" if p * (b - 1).bit_length() <= 3 * 4300 else ""  # <= 8**4300
-        raise CapacityError(
-            f"{b}**{p}{total} words exceed enumeration cap {config.ENUMERATION_CAP}"
-        )
+    config.check_enumeration(p, "words", b)  # before is_prime, which is slow for a large p
     if not is_prime(p):
-        raise ValueError(f"orbit decomposition needs a prime length, got {p}")
+        raise ValueError(f"orbit decomposition needs a prime length, got {config.shown(p)}")
     counts = _necklaces(p, b)
     constant_count, orbit_count = counts[1], counts[p]
     # p prime: a nonconstant word is fixed by no nontrivial rotation.
@@ -576,8 +561,7 @@ def count_cyclic_binary_avoiding_11(length: int) -> int:
     11: each orbit holds as many words as its primitive length."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    if _past_enumeration_cap(2, length):
-        raise CapacityError(f"2**{length} words exceed enumeration cap")
+    config.check_enumeration(length, "words", 2)
     return sum(size * count for size, count in enumerate(_necklaces(length, 2, True)))
 
 
@@ -589,8 +573,9 @@ def lucas_orbit_count(p: int) -> int:
     constraint is rotation-invariant and only the two constant words 0...0
     and 1...1 could be fixed by a rotation (1...1 is excluded, 0...0 kept).
     """
-    if not _past_enumeration_cap(2, p) and not is_prime(p):  # else the count's cap error
-        raise ValueError(f"need a prime length, got {p}")
+    config.check_enumeration(p, "words", 2)  # before is_prime, as in fermat_orbit_count
+    if not is_prime(p):
+        raise ValueError(f"need a prime length, got {config.shown(p)}")
     count = count_cyclic_binary_avoiding_11(p)
     if count % p != 1:
         raise RuntimeError(f"count {count} not congruent to 1 mod {p}")

@@ -20,6 +20,10 @@ def _read_decimal(text: str) -> int:
     return value
 
 
+# 4401 digits: past the 4300 that int() reads and str() writes
+_LONG = "1" + "0" * 4400
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -261,17 +265,71 @@ class TestVerbs:
             (("fermat", "--base", "2", "1000003"), "2**1000003 words"),
             # a prime past 10**12: trial division or 2**p would not finish
             (("lucas", "1000000000039"), "2**1000000000039 words"),
+            (("lucas", "29"), "2**29 = 536870912 words"),
+            # int() would refuse p, str() the message
+            (("fermat", _LONG), "10**[14617 bits] words"),
+            (("lucas", _LONG), "2**[14617 bits] words"),
         ],
-        ids=["fermat-2-15013", "fermat-2-1000003", "lucas-1000000000039"],
+        ids=[
+            "fermat-2-15013",
+            "fermat-2-1000003",
+            "lucas-1000000000039",
+            "lucas-29",
+            "fermat-4401-digits",
+            "lucas-4401-digits",
+        ],
     )
     def test_orbit_counts_past_the_enumeration_cap(self, capsys, argv, what):
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
         elapsed = time.perf_counter() - start
-        cap = f" {config.ENUMERATION_CAP}" if argv[0] == "fermat" else ""
+        cap = config.ENUMERATION_CAP
         assert (code, out) == (3, "")
-        assert err == f"repetend: capacity exceeded: {what} exceed enumeration cap{cap}\n"
+        assert err == f"repetend: capacity exceeded: {what} exceed enumeration cap {cap}\n"
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            # the answer has 10**12 digits or more: b**g is never built
+            (
+                ("product-length", "1000000000000", "1000000000000"),
+                "product period length of 1000000000000",
+            ),
+            (("product-length", "3000000", "3000000"), "product period length of 3000000"),
+            # one length per power, every one of them 1: no growth to meet a cap
+            (("period-growth", "9", "1000000000000"), "period growth list of 1000000000000"),
+        ],
+        ids=["product-length-1e12", "product-length-3e6", "period-growth-1e12"],
+    )
+    def test_unbounded_verbs_past_the_period_cap(self, capsys, argv, what):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        cap = config.DEFAULT_PERIOD_CAP
+        assert (code, out) == (3, "")
+        assert err == f"repetend: capacity exceeded: {what} digits exceeds cap of {cap}\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv,code,printed",
+        [
+            # spelled as int() reads them
+            (("product-length", " 2", "+2"), 0, "198\n"),
+            (("product-length", "1_0", "2"), 0, "990\n"),
+            (("fermat", "-3"), 2, ": orbit decomposition needs a prime length, got -3"),
+            (("fermat", "1.5"), 1, " fermat: error: argument p: invalid int value: '1.5'"),
+            # past 4300 digits: read, not refused, and shown by bit length
+            (("lucas", f"-{_LONG}"), 2, ": need a prime length, got -[14617 bits]"),
+            (("eval", "--base", _LONG, "1"), 1, ": base must be in 2..36, got [14617 bits]"),
+            (("eval", "--max-period", _LONG, "0.(3)*3"), 0, "1\n"),
+        ],
+        ids=["spaces", "underscore", "negative", "not-int", "long-neg", "long-base", "long-cap"],
+    )
+    def test_integer_operands(self, capsys, argv, code, printed):
+        # the answer on stdout with exit 0, else one line on stderr
+        out, err = (printed, "") if code == 0 else ("", f"repetend{printed}\n")
+        assert invoke(capsys, *argv) == (code, out, err)
 
     def test_irrational_check_integer(self, capsys):
         code, out, _ = invoke(capsys, "irrational-check", "x^2-2")

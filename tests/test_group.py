@@ -169,7 +169,7 @@ class TestCircularProduct:
         assert single_letter_multiplier(10) == 12345679
 
     def test_multiplier_consistency(self):
-        for base in range(2, 12):
+        for base in range(2, 200):
             expected = 1 + sum((base - i - 2) * base**i for i in range(base - 2))
             assert single_letter_multiplier(base) == expected
 
