@@ -12,6 +12,7 @@ import sys
 
 from . import config, notation, numtheory, rational, words
 from .errors import CapacityError
+from .notation import _quoted
 from .numtheory import UnitaryPolynomial
 from .rational import DcNumber
 from .words import CircularWord
@@ -52,7 +53,7 @@ def _tokenize(text: str) -> list[str]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise UsageError(f"cannot read expression at: {text[pos:].strip()!r}")
+                raise UsageError(f"cannot read expression at: {_quoted(text[pos:].strip())}")
             break
         tokens.append(m.group("lit") or m.group("op"))
         pos = m.end()
@@ -85,7 +86,7 @@ class _ExpressionParser:
     def parse(self) -> DcNumber:
         value = self.expr()
         if self.peek() is not None:
-            raise UsageError(f"trailing input at {self.peek()!r}")
+            raise UsageError(f"trailing input at {_quoted(self.peek())}")
         return value
 
     def expr(self) -> DcNumber:
@@ -167,7 +168,7 @@ def _integer(text: str) -> int:
     if m := re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text):
         value = _decimal_value(m.group(2).replace("_", ""))
         return -value if m.group(1) == "-" else value
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
 
 
 def _cmd_to_frac(args) -> None:
@@ -178,7 +179,7 @@ def _cmd_to_frac(args) -> None:
 def _cmd_from_frac(args) -> None:
     m = re.fullmatch(r"\s*([+-]?)(\d+)\s*/\s*(\d+)\s*", args.fraction)
     if not m:
-        raise UsageError(f"expected U/V, got {args.fraction!r}")
+        raise UsageError(f"expected U/V, got {_quoted(args.fraction)}")
     u, v = _decimal_value(m.group(2)), _decimal_value(m.group(3))
     if m.group(1) == "-":
         u = -u
@@ -268,7 +269,7 @@ def _parse_polynomial(text: str, base: int) -> dict:
     while pos < len(stripped):
         m = term_re.match(stripped, pos)
         if not m or m.end() == pos or (m.group("coef") is None and not m.group("var")):
-            raise UsageError(f"cannot read polynomial at: {stripped[pos:]!r}")
+            raise UsageError(f"cannot read polynomial at: {_quoted(stripped[pos:])}")
         pos = m.end()
         exp = 0
         if m.group("var"):

@@ -47,7 +47,7 @@ class GroupElement:
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "GroupElement":
-        return cls(CircularWord.from_int(n % (base**length - 1), base, length))
+        return cls(CircularWord.from_int(n % words.power_less_one(base, length), base, length))
 
     @property
     def base(self) -> int:
@@ -149,6 +149,17 @@ class StarElement:
         return f"{self.representative}~"
 
 
+# repeating_word writes a period of ell letters by long division of u by
+# v, in a base that is not a power of two, when ell passes 600 and v has
+# fewer bits than ell / 8 and than 16,000.  A shorter period costs the
+# kernel one str() in base ten, or a few divisions; a longer v makes the
+# division's cost, ell times the size of v, overtake the kernel's
+# (measured in bases 3, 7, 10, 12 and 36, from 16 to 2*10**6 letters).
+_DIVISION_MIN_LETTERS = 600
+_DIVISION_LETTERS_PER_BIT = 8
+_DIVISION_BITS = 16_000
+
+
 def repeating_word(u: int, v: int, base: int) -> CircularWord:
     """The period of u/v as a circular word, for u/v in lowest terms with
     0 <= u <= v and v coprime to the base.
@@ -159,11 +170,21 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
     length and is never scanned for a shorter one.  The word keeps
     base**ell - 1 as its modulus.  The order is capped; see
     multiplicative_order.
+
+    When v is short against a long ell, the letters are what long
+    division of u by v writes (``words.period_digits``), in time linear
+    in ell; else, and in a power-of-two base, whose letters are slices of
+    the value's bits, the kernel writes the value (``words.int_to_digits``).
     """
     ell = multiplicative_order(base, v)
-    m = base**ell - 1
+    m = words.power_less_one(base, ell)
     n = u * (m // v)
-    digits = words.int_to_digits(n, base, ell)
+    bits = v.bit_length()
+    shortest = max(bits * _DIVISION_LETTERS_PER_BIT, _DIVISION_MIN_LETTERS)
+    if base & (base - 1) and shortest < ell and bits < _DIVISION_BITS:
+        digits = words.period_digits(u, v, base, ell)
+    else:
+        digits = words.int_to_digits(n, base, ell)
     return words._known_word(digits, base, valuation=n, modulus=m, _primitive_length=ell)
 
 
@@ -174,5 +195,5 @@ def single_letter_multiplier(base: int) -> int:
     Its digit word is beta, beta-2, ..., 2, 1 read right to left, and its
     value (base**(base-1) - 1) / (base-1)**2: (10**9 - 1) / 81 = 12345679.
     """
-    return (base ** (base - 1) - 1) // (base - 1) ** 2
+    return words.power_less_one(base, base - 1) // (base - 1) ** 2
 

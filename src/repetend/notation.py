@@ -24,6 +24,17 @@ _LITERAL_RE = re.compile(
     re.VERBOSE,
 )
 
+# Operand text a message quotes whole; a longer one is cut to its start.
+_QUOTED_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """Operand text as a one-line message shows it: quoted whole while
+    short, else its first 20 characters and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text):,} characters)"
+
 
 def parse_components(
     text: str, base: int
@@ -38,7 +49,7 @@ def parse_components(
     """
     m = _LITERAL_RE.match(text.strip())
     if not m or not (m.group("whole") or m.group("frac") or m.group("period")):
-        raise ValueError(f"not a numeric literal: {text!r}")
+        raise ValueError(f"not a numeric literal: {_quoted(text)}")
     sign = -1 if m.group("sign") == "-" else 1
     whole = _letters(m.group("whole") or "", base)
     frac = _letters(m.group("frac") or "", base)

@@ -13,6 +13,7 @@ from math import gcd, isqrt, lcm, log10
 
 from . import config
 from .errors import CapacityError
+from .words import power_less_one
 
 
 def multiplicative_order(b: int, v: int) -> int:
@@ -83,7 +84,7 @@ class PeriodLengthReport:
 def period_length(v: int, b: int) -> PeriodLengthReport:
     t, coprime = split_denominator(v, b)
     ell = multiplicative_order(b, coprime)
-    witness = (b**ell - 1) // coprime
+    witness = power_less_one(b, ell) // coprime
     return PeriodLengthReport(v, b, t, ell, witness)
 
 
@@ -97,7 +98,7 @@ def product_period_length(ell: int, ell2: int, b: int) -> int:
     g = gcd(ell, ell2)
     num, den = log10(b).as_integer_ratio()  # b**g has g * log10(b) digits; no float overflow
     config.check_period(g * num // den, "product period length")
-    return (b**g - 1) * lcm(ell, ell2)
+    return power_less_one(b, g) * lcm(ell, ell2)
 
 
 def integer_nth_root(m: int, n: int) -> int | None:

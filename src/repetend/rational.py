@@ -44,6 +44,7 @@ from .words import (
     _spell,
     digits_to_int,
     int_to_digits,  # noqa: F401  bench/spans.py traces it under this name
+    power_less_one,
 )
 
 
@@ -173,7 +174,8 @@ class DcNumber:
         ell = _common_length((x.period, y.period), "lifted comparison")
         diff = x.delta - y.delta
         gap = _lifted_value(y.period, ell) - _lifted_value(x.period, ell)
-        return -1 if diff.scaled * (self.base**ell - 1) < gap * self.base**diff.point else 1
+        modulus = power_less_one(self.base, ell)
+        return -1 if diff.scaled * modulus < gap * self.base**diff.point else 1
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0

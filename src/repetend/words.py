@@ -69,10 +69,17 @@ _DECIMAL_LEAF_BITS = 1_024
 _LEAF_DIGITS = 2_000
 # Divisions whose quotient has at most this many bits go to divmod.
 _DIV_LIMIT = 4_000
+# Letters period_digits writes per division in base ten, one str() each;
+# other bases take the most letters whose block stays below 2**64.
+_DECIMAL_BLOCK = 200
 
 
 def int_to_digits(n: int, base: int, length: int) -> tuple[int, ...]:
     """Big-endian base-`base` digits of ``n`` zero-padded to ``length``.
+
+    One of two writers of letters: this one writes any value; a period
+    that comes from a fraction u/v with a short v is written by
+    :func:`period_digits` instead (see ``group.repeating_word``).
 
     Short words are read off one digit at a time.  Longer ones take one
     of three subquadratic routes, picked by the base:
@@ -114,6 +121,53 @@ def int_to_digits(n: int, base: int, length: int) -> tuple[int, ...]:
 def _overflow(n: int, base: int, length: int) -> ValueError:
     shown = n if n.bit_length() <= 64 else f"a {n.bit_length()}-bit value"
     return ValueError(f"{shown} does not fit in {length} base-{base} digits")
+
+
+def period_digits(u: int, v: int, base: int, length: int) -> tuple[int, ...]:
+    """The first ``length`` letters of u/v after the point, 0 <= u <= v:
+    those of ``u * ((base**length - 1) // v)`` when v divides base**length - 1.
+
+    Schoolbook long division in blocks of k letters: each block is the
+    quotient of one ``divmod(r * base**k, v)``, so the cost grows with
+    ``length`` times the size of v, not with the size of the number the
+    letters spell.  Base ten spells a block of 200 letters with one
+    ``str()``; any other base splits a block below 2**64 letter by letter.
+    The last block is written whole and cut: its first letters are those
+    of the shorter division.  u == v is the all-(base-1) word, whose
+    first block would overflow.
+    """
+    if u == v:
+        return (base - 1,) * length
+    r = u
+    if base == 10:
+        step, text = 10**_DECIMAL_BLOCK, []
+        for _ in range(-(-length // _DECIMAL_BLOCK)):
+            q, r = divmod(r * step, v)
+            text.append(str(q).zfill(_DECIMAL_BLOCK))
+        return tuple("".join(text)[:length].encode().translate(_FROM_ASCII))
+    k = int(64 / math.log2(base))
+    k -= base**k >= 1 << 64  # a power of two: 64 / log2 is exact
+    step, out = base**k, [0] * (-(-length // k) * k)
+    for end in range(k, len(out) + 1, k):
+        q, r = divmod(r * step, v)
+        i = end
+        while q:
+            i -= 1
+            q, out[i] = divmod(q, base)
+    return tuple(out[:length])
+
+
+def power_less_one(base: int, n: int) -> int:
+    """base**n - 1, the value of the all-(base-1) word of n letters.
+
+    Past a few letters only the odd part c of base = 2**s * c is raised,
+    and the power of two is a shift: c**n has fewer bits to square than
+    base**n (in base ten, 5**n << n costs about half of 10**n).
+    """
+    if n <= _SMALL:
+        return base**n - 1
+    s = (base & -base).bit_length() - 1
+    return ((base >> s) ** n << s * n) - 1
 
 
 def _binary_digits(n: int, k: int) -> tuple[int, ...]:
@@ -386,7 +440,7 @@ class CircularWord:
     @cached_property
     def modulus(self) -> int:
         """base**len - 1: the value of the all-(base-1) word of this length."""
-        return self.base ** len(self.digits) - 1
+        return power_less_one(self.base, len(self.digits))
 
     def with_value(self, n: int) -> "CircularWord":
         """The word of this length with valuation n: this word itself when

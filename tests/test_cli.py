@@ -331,6 +331,47 @@ class TestVerbs:
         out, err = (printed, "") if code == 0 else ("", f"repetend{printed}\n")
         assert invoke(capsys, *argv) == (code, out, err)
 
+    @pytest.mark.parametrize(
+        "argv,code,shown",
+        [
+            (
+                ("fermat", f"{_LONG}x"),
+                1,
+                " fermat: error: argument p: invalid int value:"
+                " '10000000000000000000'... (4,402 characters)",
+            ),
+            (
+                ("from-frac", "1/2x" + "0" * 4400),
+                1,
+                ": expected U/V, got '1/2x0000000000000000'... (4,404 characters)",
+            ),
+            (
+                ("eval", f"1+!{_LONG}"),
+                1,
+                ": cannot read expression at: '!1000000000000000000'... (4,402 characters)",
+            ),
+            (
+                ("eval", f"1 {_LONG}"),
+                1,
+                ": trailing input at '10000000000000000000'... (4,401 characters)",
+            ),
+            (
+                ("irrational-check", f"x^2-!{_LONG}"),
+                1,
+                ": cannot read polynomial at: '-!100000000000000000'... (4,403 characters)",
+            ),
+            (
+                ("to-frac", f"1.2.{_LONG}"),
+                2,
+                ": not a numeric literal: '1.2.1000000000000000'... (4,405 characters)",
+            ),
+        ],
+        ids=["fermat", "from-frac", "eval", "trailing", "polynomial", "to-frac"],
+    )
+    def test_long_malformed_operand_is_shown_in_part(self, capsys, argv, code, shown):
+        assert invoke(capsys, *argv) == (code, "", f"repetend{shown}\n")
+        assert len(shown.encode()) < 200
+
     def test_irrational_check_integer(self, capsys):
         code, out, _ = invoke(capsys, "irrational-check", "x^2-2")
         assert code == 0

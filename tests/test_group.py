@@ -4,7 +4,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import cw, reference_circular_carry_add, star
-from repetend import config
+from repetend import config, group, words
 from repetend.errors import CapacityError
 from repetend.group import (
     GroupElement,
@@ -226,6 +226,43 @@ class TestRepeatingWord:
                 assert word.valuation == plain.valuation
                 assert word.modulus == plain.modulus
                 assert Fraction(word.valuation, word.modulus) == Fraction(u, v)
+
+    @pytest.mark.parametrize("base", [3, 10, 12, 36])
+    def test_same_word_on_both_sides_of_the_gate(self, monkeypatch, base):
+        """Long division and the kernel write the same word with the same
+        cached values.  By default a long period with a short denominator
+        is divided; 1/99**2 (198 letters) and 3/(10**4401 - 1) are not."""
+        rng = random.Random(base)
+        cases = [(0, 1), (1, 1), (1, base + 1)]
+        for v in rng.sample(range(2, 5000), 60):
+            if gcd(v, base) == 1:
+                u = rng.randrange(v + 1)
+                cases.append((u // gcd(u, v), v // gcd(u, v)))
+        if base == 10:
+            cases.append((1, (10**4401 - 1) // 3))  # 3/(10**4401 - 1) in lowest terms
+        writes = []
+        period_digits = words.period_digits
+
+        def counted(*args):
+            writes.append(args[-1])
+            return period_digits(*args)
+
+        monkeypatch.setattr(words, "period_digits", counted)
+        if base == 10:
+            for v in (99**2, (10**4401 - 1) // 3, 9999**2):
+                repeating_word(1, v, 10)
+            assert writes == [4 * 9999]
+        fields = ("digits", "valuation", "modulus", "_primitive_length")
+        routes = []
+        monkeypatch.setattr(group, "_DIVISION_MIN_LETTERS", 0)
+        monkeypatch.setattr(group, "_DIVISION_LETTERS_PER_BIT", 0)
+        for bits in (1 << 64, 0):  # long division, then the kernel
+            monkeypatch.setattr(group, "_DIVISION_BITS", bits)
+            writes.clear()
+            words_made = [vars(repeating_word(u, v, base)) for u, v in cases]
+            routes.append([tuple(word[f] for f in fields) for word in words_made])
+            assert len(writes) == (len(cases) if bits else 0)
+        assert routes[0] == routes[1]
 
 
 class TestOrderPSubgroups:

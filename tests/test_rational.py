@@ -309,15 +309,20 @@ class TestDcMultiplication:
 
 def test_long_product_writes_its_period_once(monkeypatch):
     """Parse, multiply and format 0.(00001) * 0.(00001): its period of
-    499,995 digits is written out from its value once, not once per layer."""
+    499,995 digits is written once, by either writer of letters (the
+    kernel from its value, or long division of its fraction), not once
+    per layer."""
     lengths = []
-    write = words.int_to_digits
 
-    def counted(n, base, length):
-        lengths.append(length)
-        return write(n, base, length)
+    def counted(write):
+        def call(*args):
+            lengths.append(args[-1])
+            return write(*args)
 
-    monkeypatch.setattr(words, "int_to_digits", counted)
+        return call
+
+    for name in ("int_to_digits", "period_digits"):
+        monkeypatch.setattr(words, name, counted(getattr(words, name)))
     x = notation.parse("0.(00001)")
     text = notation.format_dc(x * x)
     assert lengths.count(499995) == 1

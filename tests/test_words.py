@@ -22,6 +22,8 @@ from repetend.words import (
     fermat_orbit_count,
     int_to_digits,
     lucas_orbit_count,
+    period_digits,
+    power_less_one,
 )
 
 
@@ -220,6 +222,34 @@ class TestConversionKernel:
         for n in (1, base - 1, base, base + 1, base**50 - 1, base**50, 7**300):
             padded = _reference_digits(n, base, 1000)
             assert digit_count(n, base) == len(bytes(padded).lstrip(b"\0"))
+
+
+def _block_letters(base):
+    """Letters period_digits writes per division: 200 in base ten, else
+    the most whose block stays below 2**64."""
+    return words._DECIMAL_BLOCK if base == 10 else max(k for k in range(65) if base**k < 2**64)
+
+
+class TestPeriodWriter:
+    @pytest.mark.parametrize("base", [b for b in range(2, 37) if b & (b - 1)])
+    def test_matches_the_kernel(self, base):
+        rng = random.Random(base)
+        k = _block_letters(base)
+        for ell in (k - 1, k, k + 1, 2 * k):
+            m = base**ell - 1
+            # seeded u/v with v | m, where u * (m // v) spells u/v; for
+            # u == 1 any v coprime to the base does
+            divisors = [v for v in range(2, 5000) if m % v == 0]
+            coprime = [v for v in rng.sample(range(2, 5000), 200) if math.gcd(v, base) == 1]
+            cases = {(0, 1), (0, 7), (1, 1)} | {(1, v) for v in coprime}
+            cases |= {(rng.randrange(v + 1), v) for v in divisors}
+            for u, v in cases:
+                assert period_digits(u, v, base, ell) == int_to_digits(u * (m // v), base, ell)
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_power_less_one(self, base):
+        for n in [*range(71), 100_003]:
+            assert power_less_one(base, n) == base**n - 1
 
 
 class TestValuationCarry:
