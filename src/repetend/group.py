@@ -12,7 +12,11 @@ the values the operands denote as pure repeating fractions.  For a pair
 of single letters p, p' in base b it is the length-(b-1) word with value
 p * p' * (1 + sum (b-i-2) b**i); longer operands reduce to that case by a
 change of base.  The tests build that enormous word literally; this module
-evaluates the same product on valuations and never builds it.
+evaluates the same product on the operands' reduced fractions and never
+builds it.  The product's period is the word of the fraction u/v
+(``repeating_word``); a long one is written by long division and keeps
+(u, v) as its value, so neither base**ell - 1 nor its valuation is built
+unless a reader needs them.
 Note the identification regimes differ: for addition the all-(base-1)
 word is zero, for multiplication it is the neutral element, so star
 elements keep it intact and only additive results collapse it.
@@ -109,9 +113,9 @@ class StarElement:
         return self.representative.base
 
     def _reduced_value(self) -> tuple[int, int]:
-        """The denoted repeating fraction N/(b**ell - 1) in lowest terms."""
-        n = self.representative.valuation
-        m = self.representative.modulus
+        """The denoted repeating fraction N/(b**ell - 1) in lowest terms,
+        reduced from the fraction the word was written from if it has one."""
+        n, m = words._ratio(self.representative)
         g = gcd(n, m)
         return n // g, m // g
 
@@ -167,24 +171,26 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
     Its length is ell = ord_base(v) and its value u * (base**ell - 1) / v.
     Lowest terms are required: they make the word primitive (u == v == 1
     gives the all-(base-1) letter), so it records ell as its primitive
-    length and is never scanned for a shorter one.  The word keeps
-    base**ell - 1 as its modulus.  The order is capped; see
-    multiplicative_order.
+    length and is never scanned for a shorter one.  The order is capped;
+    see multiplicative_order.
 
     When v is short against a long ell, the letters are what long
     division of u by v writes (``words.period_digits``), in time linear
-    in ell; else, and in a power-of-two base, whose letters are slices of
-    the value's bits, the kernel writes the value (``words.int_to_digits``).
+    in ell, and the word keeps ``ratio = (u, v)`` in place of its value:
+    base**ell - 1 and u * ((base**ell - 1) // v) are built only if a
+    reader asks for them.  Else, and in a power-of-two base, whose letters
+    are slices of the value's bits, the kernel writes the value
+    (``words.int_to_digits``), and the word keeps it and base**ell - 1.
     """
     ell = multiplicative_order(base, v)
-    m = words.power_less_one(base, ell)
-    n = u * (m // v)
     bits = v.bit_length()
     shortest = max(bits * _DIVISION_LETTERS_PER_BIT, _DIVISION_MIN_LETTERS)
     if base & (base - 1) and shortest < ell and bits < _DIVISION_BITS:
         digits = words.period_digits(u, v, base, ell)
-    else:
-        digits = words.int_to_digits(n, base, ell)
+        return words._known_word(digits, base, ratio=(u, v), _primitive_length=ell)
+    m = words.power_less_one(base, ell)
+    n = u * (m // v)
+    digits = words.int_to_digits(n, base, ell)
     return words._known_word(digits, base, valuation=n, modulus=m, _primitive_length=ell)
 
 

@@ -14,7 +14,7 @@ import re
 
 from .decimals import DecimalNumber
 from .rational import DcNumber, WcpNumber, _dc_from_written, _lower_point, wcp_from_dc
-from .words import CircularWord, _letters, _spell, digits_to_int
+from .words import CircularWord, _is_null, _letters, _spell, digits_to_int
 
 _LITERAL_RE = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -76,7 +76,7 @@ def format_wcp(x: WcpNumber) -> str:
     """Canonical literal; the aperiodic digits, the point, and the period
     rotated to start right after whatever digits precede it."""
     x = x.canonical()
-    periodic = x.period.valuation != 0
+    periodic = not _is_null(x.period)
     if x.point > 0:
         # the period's first letters are written before the point
         x = _lower_point(x, 0)

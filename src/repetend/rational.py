@@ -39,20 +39,24 @@ from .words import (
     CircularWord,
     _check_digits,
     _common_length,
+    _is_null,
     _lifted_value,
     _minimal_digits,
+    _ratio,
     _spell,
     digits_to_int,
     int_to_digits,  # noqa: F401  bench/spans.py traces it under this name
-    power_less_one,
 )
 
 
 def _carried_sum(delta: DecimalNumber, periods, what: str) -> "DcNumber":
     """delta plus the periods, summed on the first one's lift to a common
-    length, the rest lifted as values; all-(base-1) stays, overshoot wraps."""
+    length, the rest lifted as values; all-(base-1) stays, overshoot wraps.
+    When the rest are all zero, the lift is the sum as it stands."""
     length = _common_length(periods, what)
     word = periods[0].lift(length)
+    if all(map(_is_null, periods[1:])):
+        return DcNumber(delta, word)
     total = word.valuation + sum(_lifted_value(p, length) for p in periods[1:])
     carry = (total - 1) // word.modulus if total > 0 else 0
     if carry:
@@ -102,10 +106,10 @@ class DcNumber:
 
     def as_ratio(self) -> tuple[int, int]:
         """(numerator, denominator) with the denominator positive; exact,
-        not necessarily reduced."""
-        m = self.period.modulus
+        not necessarily reduced: delta plus the period's value u/v."""
+        u, v = _ratio(self.period)
         scale = self.base**self.delta.point
-        return self.delta.scaled * m + scale * self.period.valuation, scale * m
+        return self.delta.scaled * v + scale * u, scale * v
 
     def to_fraction(self) -> Fraction:
         """The value as a reduced fraction: the ring morphism back to
@@ -129,7 +133,7 @@ class DcNumber:
         -(d + 0.(P)) = (-d - 1) + 0.(P'), canonical as it stands."""
         x = self.canonical()
         d = x.delta
-        if not x.period.valuation:
+        if _is_null(x.period):
             return DcNumber(-d, x.period)
         d = DecimalNumber.from_scaled(-d.scaled - d.base**d.point, d.point, d.base)
         return DcNumber(d, x.period.complement())
@@ -160,22 +164,19 @@ class DcNumber:
     # -- order ---------------------------------------------------------
 
     def compare(self, other: "DcNumber") -> int:
-        """-1, 0 or 1; exact, evaluated on integers only.
-
-        With the periods' values Px, Py lifted to a common length ell,
-        m = b**ell - 1 and dx - dy = k * b**-c, x < y iff
-        m * k < (Py - Px) * b**c.
+        """-1, 0 or 1; exact, evaluated on integers only: one
+        cross-multiplication of the two values as fractions.  Canonical
+        forms are equal exactly when the values are; the periods' common
+        length is still capped, as a lifted comparison.
         """
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         x, y = self.canonical(), other.canonical()
         if x == y:
             return 0
-        ell = _common_length((x.period, y.period), "lifted comparison")
-        diff = x.delta - y.delta
-        gap = _lifted_value(y.period, ell) - _lifted_value(x.period, ell)
-        modulus = power_less_one(self.base, ell)
-        return -1 if diff.scaled * modulus < gap * self.base**diff.point else 1
+        _common_length((x.period, y.period), "lifted comparison")
+        (nx, dx), (ny, dy) = x.as_ratio(), y.as_ratio()
+        return -1 if nx * dy < ny * dx else 1
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -326,12 +327,15 @@ def wcp_from_dc(x: DcNumber) -> WcpNumber:
     x = x.canonical()
     sign, x = (-1, -x) if x.is_negative() else (1, x)
     base, point, period = x.base, x.delta.point, x.period
-    shifted, rest = divmod(base**point * period.valuation, period.modulus)
+    u, v = _ratio(period)
+    shifted, rest = divmod(base**point * u, v)
     digits = _minimal_digits(x.delta.scaled + shifted, base)
     digits = (0,) * (point + 1 - len(digits)) + digits  # the letters to the point
     k = 0  # letters the period takes back
-    if point:  # rest is the period's value times base**point: the period rotated
-        period = period.shift(point).with_value(rest)
+    if point:  # rest/v is the period's value times base**point: the period rotated
+        period = period.shift(point)
+        if "ratio" not in period.__dict__:  # a fraction is rotated with the word
+            period = period.with_value(rest)
     elif x.delta or rest:
         # unshift: trailing letters that repeat the period's (zeros past the
         # first letter) re-enter it, with one rotation.  Only at point 0: at

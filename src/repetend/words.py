@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from . import config
 
 # The alphabet: letters 0-9 then A-Z, read in either case.  _letters and
@@ -131,10 +131,11 @@ def period_digits(u: int, v: int, base: int, length: int) -> tuple[int, ...]:
     quotient of one ``divmod(r * base**k, v)``, so the cost grows with
     ``length`` times the size of v, not with the size of the number the
     letters spell.  Base ten spells a block of 200 letters with one
-    ``str()``; any other base splits a block below 2**64 letter by letter.
-    The last block is written whole and cut: its first letters are those
-    of the shorter division.  u == v is the all-(base-1) word, whose
-    first block would overflow.
+    ``str()``; any other base splits a block below 2**64, an even number
+    of letters, two letters per ``divmod`` by ``base**2`` through a table
+    of the letter pairs.  The last block is written whole and cut: its
+    first letters are those of the shorter division.  u == v is the
+    all-(base-1) word, whose first block would overflow.
     """
     if u == v:
         return (base - 1,) * length
@@ -147,14 +148,25 @@ def period_digits(u: int, v: int, base: int, length: int) -> tuple[int, ...]:
         return tuple("".join(text)[:length].encode().translate(_FROM_ASCII))
     k = int(64 / math.log2(base))
     k -= base**k >= 1 << 64  # a power of two: 64 / log2 is exact
-    step, out = base**k, [0] * (-(-length // k) * k)
-    for end in range(k, len(out) + 1, k):
+    k -= k & 1
+    step, square, pairs = base**k, base * base, _letter_pairs(base)
+    splits, letters = range(k // 2), bytearray()
+    for _ in range(-(-length // k)):
         q, r = divmod(r * step, v)
-        i = end
-        while q:
-            i -= 1
-            q, out[i] = divmod(q, base)
-    return tuple(out[:length])
+        block = []
+        for _ in splits:  # the block's pairs, last first
+            q, d = divmod(q, square)
+            block.append(pairs[d])
+        block.reverse()
+        letters += b"".join(block)  # one join per block: a join holds a buffer per item
+    return tuple(letters[:length])
+
+
+@cache
+def _letter_pairs(base: int) -> tuple[bytes, ...]:
+    """Entry d: the two letters of d < base**2, as bytes; built once per
+    base, so at most 35 tables of at most 1,296 pairs are kept."""
+    return tuple(bytes(divmod(d, base)) for d in range(base * base))
 
 
 def power_less_one(base: int, n: int) -> int:
@@ -417,6 +429,13 @@ class CircularWord:
     Its valuation N(w) and modulus m = base**len - 1 are computed at most
     once.  Words made from an integer or from other words fill them from
     what they start from, so long digits are not read back or rechecked.
+
+    A word written from a fraction u/v (``group.repeating_word``'s long
+    division) holds ``ratio = (u, v)``, N(w)/m == u/v with v dividing m,
+    and fills neither value until one is read: m as base**len - 1, N(w)
+    as u * (m // v).  Its readers take the value as that fraction
+    (:func:`_ratio`, :func:`_is_null`), and its rotations, complement,
+    repetitions and primitive root carry it.
     """
 
     digits: tuple[int, ...]
@@ -435,6 +454,9 @@ class CircularWord:
 
     @cached_property
     def valuation(self) -> int:
+        ratio = self.__dict__.get("ratio")
+        if ratio:
+            return ratio[0] * (self.modulus // ratio[1])
         return digits_to_int(self.digits, self.base)
 
     @cached_property
@@ -462,12 +484,17 @@ class CircularWord:
     def shift(self, k: int = 1) -> "CircularWord":
         """Rotate left by ``k`` positions (negative k rotates right).  The
         value is multiplied by b**k mod m, which carries a cached valuation
-        in linear time when few letters wrap around."""
+        in linear time when few letters wrap around, and a fraction u/v as
+        u * b**k mod v (1/1, all letters b-1, stays)."""
         ell = len(self.digits)
         k %= ell
         if k == 0:
             return self
         cached = {}
+        ratio = self.__dict__.get("ratio")
+        if ratio:
+            u, v = ratio
+            cached["ratio"] = ratio if u == v else (u * pow(self.base, k, v) % v, v)
         if {"valuation", "modulus"} <= self.__dict__.keys() and min(k, ell - k) <= _SMALL:
             n, m, base = self.valuation, self.modulus, self.base
             if k <= _SMALL:  # the first k letters A move to the end
@@ -484,6 +511,8 @@ class CircularWord:
         if n == 1:
             return self
         cached = {}
+        if "ratio" in self.__dict__:  # N(w^n)/m(w^n) == N(w)/m(w)
+            cached["ratio"] = self.ratio
         value = self.__dict__.get("valuation")
         if value == 0:
             cached["valuation"] = 0
@@ -515,11 +544,17 @@ class CircularWord:
             k = self.__dict__["_primitive_length"] = (s + s).index(s, 1)
         if k == len(self.digits):
             return self
-        return _known_word(self.digits[:k], self.base, _primitive_length=k)
+        # a root has the value of its powers
+        cached = {"ratio": self.ratio} if "ratio" in self.__dict__ else {}
+        return _known_word(self.digits[:k], self.base, _primitive_length=k, **cached)
 
     def complement(self) -> "CircularWord":
-        """Replace every letter w by base-1-w; the value becomes m - N(w)."""
+        """Replace every letter w by base-1-w; the value becomes m - N(w),
+        and a fraction u/v becomes (v - u)/v."""
         cached = {}
+        if "ratio" in self.__dict__:
+            u, v = self.ratio
+            cached["ratio"] = (v - u, v)
         if {"valuation", "modulus"} <= self.__dict__.keys():
             cached["valuation"] = self.modulus - self.valuation
         flip = bytes(range(self.base - 1, -1, -1)).ljust(256, b"\xff")
@@ -537,6 +572,18 @@ _ROTATION_KEEPS = ("modulus", "_primitive_length")
 def _common_length(words, what: str) -> int:
     """The lcm of the words' lengths, capped as ``what``."""
     return config.check_period(math.lcm(*map(len, words)), what)
+
+
+def _ratio(word: CircularWord) -> tuple[int, int]:
+    """(u, v) with u/v == N(w)/m: the fraction the word was written from,
+    else its valuation over its modulus."""
+    return word.__dict__.get("ratio") or (word.valuation, word.modulus)
+
+
+def _is_null(word: CircularWord) -> bool:
+    """Whether the word's value is 0, read from its fraction if it has one."""
+    ratio = word.__dict__.get("ratio")
+    return not (ratio[0] if ratio else word.valuation)
 
 
 def _lifted_value(word: CircularWord, length: int) -> int:

@@ -1,6 +1,7 @@
 import argparse
 import re
 import time
+from math import gcd
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -704,6 +705,59 @@ def _agrees_with_oracle(verb: str, out: str, base: int, expected) -> bool:
     return text == "<=>"[expected + 1]  # compare
 
 
+# Long periods, each found by a search and checked again by the test that
+# uses it: primes whose period in the base has 1,000 to 20,000 letters,
+# and pairs of period lengths l, l' whose two pure periods u/(b**l - 1),
+# u'/(b**l' - 1), with u and u' coprime to both moduli, multiply to one.
+_LONG_PRIMES = {
+    3: (1013, 2503, 5009, 9007, 14009, 19507),
+    10: (1019, 2539, 5021, 9011, 14011, 19541),
+    36: (2027, 5003, 10007, 18041, 28019, 39019),
+}
+_LONG_FACTORS = {
+    3: ((5, 5), (6, 6), (6, 12), (7, 7)),
+    10: ((3, 3), (3, 6), (3, 9), (6, 9)),
+    36: ((2, 2), (2, 6), (2, 12), (4, 6)),
+}
+
+
+def _written(n: int, base: int, width: int = 1) -> str:
+    """n >= 0 in the letters of ``base``, zero-padded to ``width``."""
+    text = ""
+    while n or len(text) < width:
+        n, d = divmod(n, base)
+        text = _ALPHABET[d] + text
+    return text
+
+
+def _draw_long_product(draw, base):
+    """0.(P)*0.(P') with the period lengths of _LONG_FACTORS, sometimes
+    shifted by a power of the base or negated, and its value."""
+    lengths = draw(st.sampled_from(_LONG_FACTORS[base]), label="lengths")
+    moduli = [base**n - 1 for n in lengths]
+    value, factors = Fraction(1), []
+    for n, m in zip(lengths, moduli):
+        coprime = st.integers(1, m - 1).filter(lambda u: gcd(u, moduli[0] * moduli[1]) == 1)
+        u = draw(coprime, label="numerator")
+        factors.append(f"0.({_written(u, base, n)})")
+        value *= Fraction(u, m)
+    factor, scale = draw(st.sampled_from([("", 1), ("0.1", base), ("0.01", base**2), ("-1", -1)]))
+    if factor:
+        factors.append(factor)
+        value *= Fraction(1, scale)
+    return "*".join(factors), value
+
+
+def _draw_long_quotient(draw, base):
+    """U/V with V a prime of _LONG_PRIMES times 1, 2, the base or
+    3 * base**2 (an aperiodic part), and U no multiple of the prime."""
+    prime = draw(st.sampled_from(_LONG_PRIMES[base]), label="prime")
+    v = prime * draw(st.sampled_from([1, 2, base, 3 * base**2]), label="cofactor")
+    u = draw(st.integers(-20 * v, 20 * v).filter(lambda u: u % prime), label="u")
+    sign = "-" if u < 0 else ""
+    return f"{sign}{_written(abs(u), base)}/{_written(v, base)}", Fraction(u, v)
+
+
 class TestPropertyGate:
     """Every verb, in every base, with a small --max-period: the CLI
     prints an answer or exits 1, 2 or 3 with one line on stderr, and
@@ -739,3 +793,26 @@ class TestPropertyGate:
         else:
             assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
             assert "Traceback" not in err and "Exceeds the limit" not in err, argv
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_long_periods(self, data):
+        """Products and quotients whose periods have 1,000 to 20,000
+        letters, in bases 3, 10 and 36 (written by long division of their
+        fraction), print the letters that long division one letter at a
+        time writes: the fractional letters and the period, twice over."""
+        base = data.draw(st.sampled_from([3, 10, 36]), label="base")
+        product = data.draw(st.booleans(), label="product")
+        text, expected = (_draw_long_product if product else _draw_long_quotient)(data.draw, base)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["eval", "--base", str(base), text])
+        assert (code, err.getvalue()) == (0, ""), text
+        sign, whole, frac, period = _LITERAL.fullmatch(out.getvalue().removesuffix("\n")).groups()
+        assert 1000 <= len(period) <= 20000, (text, len(period))
+        magnitude = abs(expected)
+        whole_part, rest = divmod(magnitude.numerator, magnitude.denominator)
+        assert (sign, int(whole, base)) == ("-" if expected < Fraction(0) else "", whole_part)
+        letters = (frac or "") + period * 2
+        digits = oracle.expansion_digits(rest, magnitude.denominator, base, len(letters))
+        assert letters == "".join(_ALPHABET[d] for d in digits), text

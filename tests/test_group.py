@@ -1,10 +1,12 @@
 import random
+from contextlib import redirect_stdout
+from io import StringIO
 from math import gcd, lcm
 
 import pytest
 
 from conftest import cw, reference_circular_carry_add, star
-from repetend import config, group, words
+from repetend import cli, config, group, numtheory, rational, words
 from repetend.errors import CapacityError
 from repetend.group import (
     GroupElement,
@@ -259,10 +261,106 @@ class TestRepeatingWord:
         for bits in (1 << 64, 0):  # long division, then the kernel
             monkeypatch.setattr(group, "_DIVISION_BITS", bits)
             writes.clear()
-            words_made = [vars(repeating_word(u, v, base)) for u, v in cases]
-            routes.append([tuple(word[f] for f in fields) for word in words_made])
+            # read, not looked up: long division fills valuation and modulus lazily
+            words_made = [repeating_word(u, v, base) for u, v in cases]
+            routes.append([tuple(getattr(word, f) for f in fields) for word in words_made])
             assert len(writes) == (len(cases) if bits else 0)
         assert routes[0] == routes[1]
+
+
+def _residue_cases(base, count=4):
+    """Seeded u/v in lowest terms, with the word, that repeating_word
+    writes by long division (a period of more than 600 letters and more
+    than 8 per bit of v), in periods below 20,000 letters."""
+    rng, cases = random.Random(base), []
+    while len(cases) < count:
+        v, u = rng.randrange(700, 20000), rng.randrange(1, 20000)
+        if gcd(v, base) != 1 or gcd(u % v, v) != 1:
+            continue
+        ell = multiplicative_order(base, v)
+        if max(600, 8 * v.bit_length()) < ell < 20000:
+            cases.append((u % v, v, repeating_word(u % v, v, base)))
+    return cases
+
+
+class TestResidueWord:
+    """A period written by long division holds its fraction (u, v) and
+    fills its valuation and modulus only when they are read; its
+    rotations, complement, lifts and primitive root carry the fraction
+    and give the letters and value of the same operation on an eagerly
+    built word, whose value is read back from its letters."""
+
+    @pytest.mark.parametrize("base", [3, 7, 10, 12, 36])
+    def test_fills_its_values_lazily(self, base):
+        for u, v, word in _residue_cases(base):
+            assert vars(word)["ratio"] == (u, v)
+            assert "valuation" not in vars(word) and "modulus" not in vars(word)
+            m = base ** len(word) - 1
+            assert (word.valuation, word.modulus) == (u * m // v, m)
+            assert word.valuation == CircularWord(word.digits, base).valuation
+
+    @pytest.mark.parametrize("base", [3, 7, 10, 12, 36])
+    def test_rotations_and_complement_match_an_eager_word(self, base):
+        rng = random.Random(base)
+        for u, v, word in _residue_cases(base):
+            ell = len(word)
+            eager = CircularWord(word.digits, base)
+            shifts = [-1, -rng.randrange(2, ell), -ell - 3, 0, 1, ell, ell + 7, 3 * ell - 1]
+            pairs = [(word.shift(k), eager.shift(k)) for k in shifts]
+            pairs.append((word.complement(), eager.complement()))
+            pairs.append((word.shift(5).complement(), eager.shift(5).complement()))
+            # nothing read yet (k = 0 and k = ell give the word itself)
+            assert all("valuation" not in vars(lazy) for lazy, _ in pairs)
+            for lazy, plain in pairs:
+                assert lazy.digits == plain.digits
+                assert Fraction(*vars(lazy)["ratio"]) == Fraction(plain.valuation, plain.modulus)
+                assert lazy.valuation == CircularWord(plain.digits, base).valuation
+
+    @pytest.mark.parametrize("base", [3, 7, 10, 12, 36])
+    def test_all_beta_word_rotates_to_itself(self, monkeypatch, base):
+        monkeypatch.setattr(group, "_DIVISION_MIN_LETTERS", 0)
+        monkeypatch.setattr(group, "_DIVISION_LETTERS_PER_BIT", 0)
+        one = repeating_word(1, 1, base)  # 1/1: the one letter base-1
+        assert vars(one)["ratio"] == (1, 1) and one.digits == (base - 1,)
+        lifted = one.lift(12)
+        for k in (-5, 0, 1, 7, 12, 25):
+            word = lifted.shift(k)
+            assert word.digits == (base - 1,) * 12 and vars(word)["ratio"] == (1, 1)
+            assert word.valuation == word.modulus == base**12 - 1
+        zero = lifted.complement()
+        assert zero.digits == (0,) * 12 and zero.valuation == 0
+
+    @pytest.mark.parametrize("base", [3, 7, 10, 12, 36])
+    def test_lift_keeps_the_value(self, base):
+        for u, v, word in _residue_cases(base, 2):
+            lifted = word.lift(3 * len(word))
+            assert vars(lifted)["ratio"] == (u, v) and "valuation" not in vars(lifted)
+            assert lifted.digits == word.digits * 3
+            assert lifted.valuation == CircularWord(lifted.digits, base).valuation
+            assert Fraction(lifted.valuation, lifted.modulus) == Fraction(u, v)
+            root = lifted.primitive_period()
+            assert root == word and vars(root)["ratio"] == (u, v)
+
+    def test_long_product_builds_no_long_power(self, monkeypatch):
+        """0.(00001)**2, a period of 499,995 letters, is multiplied,
+        negated and written without base**ell - 1 of that length."""
+        sizes = []
+        power_less_one = words.power_less_one
+
+        def counted(base, n):
+            sizes.append(n)
+            return power_less_one(base, n)
+
+        for module in (words, numtheory, rational, group):
+            if hasattr(module, "power_less_one"):
+                monkeypatch.setattr(module, "power_less_one", counted)
+        cases = (("0.(00001)*0.(00001)", 500_000), ("-(0.(00001)*0.(00001))", 500_001))
+        for expression, size in cases:
+            out = StringIO()
+            with redirect_stdout(out):
+                assert cli.run(["eval", expression]) == 0
+            assert len(out.getvalue()) == size
+        assert max(sizes, default=0) <= 600
 
 
 class TestOrderPSubgroups:

@@ -226,8 +226,10 @@ class TestConversionKernel:
 
 def _block_letters(base):
     """Letters period_digits writes per division: 200 in base ten, else
-    the most whose block stays below 2**64."""
-    return words._DECIMAL_BLOCK if base == 10 else max(k for k in range(65) if base**k < 2**64)
+    the most whose block stays below 2**64, made even to split in pairs."""
+    if base == 10:
+        return words._DECIMAL_BLOCK
+    return max(k for k in range(0, 65, 2) if base**k < 2**64)
 
 
 class TestPeriodWriter:
