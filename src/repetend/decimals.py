@@ -8,7 +8,7 @@ of the written form are made only when they are read.
 
 Also home to the scalar action of these numbers on circular words, which
 splits a product (finite decimal) * (pure repeating fraction) into a
-finite carry part and a rotated remainder word.
+finite carry part and a remainder word.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import cached_property
 from .words import (
     CircularWord,
     _check_digits,
+    _crossing,
     _spell,
     digit_count,
     digits_to_int,
@@ -173,23 +174,19 @@ class DecimalNumber:
         return out if self.sign > 0 else f"-{out}"
 
 
-def scalar_action(
-    d: DecimalNumber, p: CircularWord
-) -> tuple[DecimalNumber, CircularWord]:
+def scalar_action(d: DecimalNumber, p: CircularWord) -> tuple[DecimalNumber, CircularWord]:
     """Split d * N(p)/m into a finite part and a remainder word, m = b**ell - 1.
 
-    Multiplying by b**-c only rotates a period: with k, c the scaled
-    integer and point of d, p rotated right by c has valuation
-    rot == N(p) * b**-c (mod m).  The remainder word is r = k * rot mod m
-    (a division with a quotient the size of k) on the rotated word, and
-    the carry is (k * N(p) - r * b**c) / m at point c, exact since both
-    terms agree mod m; so value(d) * N(p)/m == value(carry) + N(circ)/m.
+    With k, c the scaled integer and point of d, d = k * b**-c.  The integer
+    multiple is one division, k * N(p) == q * m + r: q plus the word of
+    value r.  Multiplying by b**-c then moves the point c letters left: the
+    word's last c letters cross it (``words._crossing``) and it rotates right
+    by c.  So value(d) * N(p)/m == value(carry) + N(circ)/m, with the carry
+    q - N(crossed) at point c.
     """
     if d.base != p.base:
         raise ValueError(f"mixed bases {d.base} and {p.base}")
-    base, k, c = d.base, d.scaled, d.point
-    m = p.modulus
-    rotated = p.shift(-c)
-    r = k * rotated.valuation % m
-    carry = DecimalNumber.from_scaled((k * p.valuation - r * base**c) // m, c, base)
-    return carry, rotated.with_value(r)
+    q, r = divmod(d.scaled * p.valuation, p.modulus)
+    word = p.with_value(r)
+    crossed = digits_to_int(_crossing(word, -d.point), d.base)
+    return DecimalNumber.from_scaled(q - crossed, d.point, d.base), word.shift(-d.point)

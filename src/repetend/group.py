@@ -44,10 +44,8 @@ class GroupElement:
     word: CircularWord
 
     def __post_init__(self):
-        if _all_beta(self.word):
-            object.__setattr__(
-                self, "word", CircularWord((0,) * len(self.word), self.word.base)
-            )
+        if _all_beta(self.word):  # its complement is the all-zero word
+            object.__setattr__(self, "word", self.word.complement())
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "GroupElement":
@@ -57,17 +55,12 @@ class GroupElement:
     def base(self) -> int:
         return self.word.base
 
-    @property
-    def modulus(self) -> int:
-        return self.word.modulus
-
     def __len__(self) -> int:
         return len(self.word)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_compatible(other)
-        value = (self.word.valuation + other.word.valuation) % self.modulus
-        return GroupElement.from_int(value, self.base, len(self.word))
+        return GroupElement(words._lifted_sum((self.word, other.word), "lifted sum")[1])
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.word.complement())
@@ -82,9 +75,7 @@ class GroupElement:
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         if len(self.word) != len(other.word):
-            raise ValueError(
-                f"mixed lengths {len(self.word)} and {len(other.word)}"
-            )
+            raise ValueError(f"mixed lengths {len(self.word)} and {len(other.word)}")
 
     def __str__(self) -> str:
         return f"{self.word}~"
@@ -122,16 +113,12 @@ class StarElement:
     def __add__(self, other: "StarElement") -> "StarElement":
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
-        length = words._common_length((self.representative, other.representative), "lifted sum")
-        x = self.representative.lift(length)
-        value = (x.valuation + words._lifted_value(other.representative, length)) % x.modulus
-        return StarElement.of(x.with_value(value))
+        word = words._lifted_sum((self.representative, other.representative), "lifted sum")[1]
+        return StarElement.of(word.complement() if _all_beta(word) else word)
 
     def __neg__(self) -> "StarElement":
         word = self.representative.complement()
-        if _all_beta(word):
-            word = CircularWord((0,), self.base)
-        return StarElement.of(word)
+        return StarElement.of(word.complement() if _all_beta(word) else word)
 
     def __mul__(self, other: "StarElement") -> "StarElement":
         """Circular product via exact valuation arithmetic.
@@ -153,15 +140,13 @@ class StarElement:
         return f"{self.representative}~"
 
 
-# repeating_word writes a period of ell letters by long division of u by
-# v, in a base that is not a power of two, when ell passes 600 and v has
-# fewer bits than ell / 8 and than 16,000.  A shorter period costs the
-# kernel one str() in base ten, or a few divisions; a longer v makes the
-# division's cost, ell times the size of v, overtake the kernel's
-# (measured in bases 3, 7, 10, 12 and 36, from 16 to 2*10**6 letters).
+# repeating_word writes a period of ell letters by long division of u by v,
+# in a base that is not a power of two, when ell passes 600 and v has fewer
+# bits than ell / 8.  A shorter period costs the kernel one str() in base
+# ten, or a few divisions; a longer v makes the division's cost, ell times
+# the size of v, overtake the kernel's (bases 3 to 36, 16 to 2*10**6 letters).
 _DIVISION_MIN_LETTERS = 600
 _DIVISION_LETTERS_PER_BIT = 8
-_DIVISION_BITS = 16_000
 
 
 def repeating_word(u: int, v: int, base: int) -> CircularWord:
@@ -183,9 +168,8 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
     (``words.int_to_digits``), and the word keeps it and base**ell - 1.
     """
     ell = multiplicative_order(base, v)
-    bits = v.bit_length()
-    shortest = max(bits * _DIVISION_LETTERS_PER_BIT, _DIVISION_MIN_LETTERS)
-    if base & (base - 1) and shortest < ell and bits < _DIVISION_BITS:
+    shortest = max(v.bit_length() * _DIVISION_LETTERS_PER_BIT, _DIVISION_MIN_LETTERS)
+    if base & (base - 1) and shortest < ell:
         digits = words.period_digits(u, v, base, ell)
         return words._known_word(digits, base, ratio=(u, v), _primitive_length=ell)
     m = words.power_less_one(base, ell)

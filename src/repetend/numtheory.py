@@ -313,6 +313,8 @@ def period_growth(p, n_max: int) -> list[int]:
     if base.representative.valuation == 0:
         raise ValueError("period growth needs a nontrivial word")
     config.check_period(n_max, "period growth list")
+    if base.representative.digits == (base.base - 1,):  # 0.(b-1) = 1: its powers are itself
+        return [1] * n_max
     lengths, acc = [len(base.representative)], base
     for _ in range(n_max - 1):
         acc = acc * base

@@ -19,10 +19,11 @@ pass.  Arithmetic accepts raw inputs and returns canonical results; the
 semiotic order and the cancellation demonstration deliberately keep
 pre-identification forms visible.
 
-Fractions appear only at the explicit conversion endpoints; the
-arithmetic itself runs on words, valuations and carries: one routine
-carries sums and products, and negation is closed form, since a period
-and its complement sum to 0.(b-1) = 1.
+Fractions appear only at the explicit conversion endpoints.  Reading and
+writing move letters across the point by one rule (``words._crossing``);
+only arithmetic reads a period's value: one lifted sum carries sums and
+products (``words._lifted_sum``), and negation is closed form, since a
+period and its complement sum to 0.(b-1) = 1.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .words import (
     CircularWord,
     _check_digits,
     _common_length,
+    _crossing,
     _is_null,
-    _lifted_value,
+    _lifted_sum,
     _minimal_digits,
     _ratio,
     _spell,
@@ -50,18 +52,9 @@ from .words import (
 
 
 def _carried_sum(delta: DecimalNumber, periods, what: str) -> "DcNumber":
-    """delta plus the periods, summed on the first one's lift to a common
-    length, the rest lifted as values; all-(base-1) stays, overshoot wraps.
-    When the rest are all zero, the lift is the sum as it stands."""
-    length = _common_length(periods, what)
-    word = periods[0].lift(length)
-    if all(map(_is_null, periods[1:])):
-        return DcNumber(delta, word)
-    total = word.valuation + sum(_lifted_value(p, length) for p in periods[1:])
-    carry = (total - 1) // word.modulus if total > 0 else 0
-    if carry:
-        delta += carry
-    return DcNumber(delta, word.with_value(total - carry * word.modulus))
+    """delta plus the periods' lifted sum; a carry of 0 leaves delta as it is."""
+    carry, word = _lifted_sum(periods, what)
+    return DcNumber(delta + carry if carry else delta, word)
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,11 @@ class DcNumber:
         return self.as_ratio()[0] == 0
 
     def is_negative(self) -> bool:
-        return self.as_ratio()[0] < 0
+        """Read from letters: a canonical period is below 1, so negative when
+        delta < 0 and the period's first delta.point letters spell less than -delta.scaled."""
+        x = self.canonical()
+        d = x.delta
+        return d.scaled < 0 and digits_to_int(_crossing(x.period, d.point), x.base) < -d.scaled
 
     def as_ratio(self) -> tuple[int, int]:
         """(numerator, denominator) with the denominator positive; exact,
@@ -281,12 +278,11 @@ def align(x: WcpNumber, y: WcpNumber) -> tuple[WcpNumber, WcpNumber]:
 
 
 def _lower_point(x: WcpNumber, point: int) -> WcpNumber:
-    """Shift identification: move the first x.point - point letters of the
-    period, read cyclically, into the aperiodic part and rotate the period
-    past them (point <= x.point)."""
+    """Shift identification: the x.point - point letters of the period that
+    cross the point (``words._crossing``) join the aperiodic part, and the
+    period rotates past them (point <= x.point)."""
     k = x.point - point
-    cycle = x.period.digits
-    moved = (cycle * (k // len(cycle) + 1))[:k]
+    moved = _crossing(x.period, k)
     return WcpNumber(x.sign, tuple(x.aperiodic) + moved, x.period.shift(k), point)
 
 
@@ -323,20 +319,19 @@ def wcp_compare(x: WcpNumber, y: WcpNumber) -> int:
 
 def wcp_from_dc(x: DcNumber) -> WcpNumber:
     """The canonical written form of x, with no second pass: its magnitude,
-    negated once, and its sign; the DC form has made the identifications."""
+    negated once, and its sign; the DC form has made the identifications.
+    The period's first c letters cross the point (``words._crossing``) to
+    end the finite part's c point letters, and it rotates past them."""
     x = x.canonical()
     sign, x = (-1, -x) if x.is_negative() else (1, x)
     base, point, period = x.base, x.delta.point, x.period
-    u, v = _ratio(period)
-    shifted, rest = divmod(base**point * u, v)
+    shifted = digits_to_int(_crossing(period, point), base)
     digits = _minimal_digits(x.delta.scaled + shifted, base)
     digits = (0,) * (point + 1 - len(digits)) + digits  # the letters to the point
     k = 0  # letters the period takes back
-    if point:  # rest/v is the period's value times base**point: the period rotated
+    if point:
         period = period.shift(point)
-        if "ratio" not in period.__dict__:  # a fraction is rotated with the word
-            period = period.with_value(rest)
-    elif x.delta or rest:
+    elif x.delta or not _is_null(period):
         # unshift: trailing letters that repeat the period's (zeros past the
         # first letter) re-enter it, with one rotation.  Only at point 0: at
         # c > 0 the last letter is the period's letter there plus the finite
@@ -353,14 +348,16 @@ def _dc_from_written(sign: int, finite: DecimalNumber, point: int, period) -> Dc
     """Canonical sign * (finite + 0.(period) * base**-point), period None for
     none: the one route from a written form, a literal's or a WCP's, to a
     value, and so where a WCP's identifications are made.  A period at
-    point 0 (``W.(P)``) is taken as it is; elsewhere the scalar action of
-    the aligner moves it to the point."""
+    point 0 (``W.(P)``) is taken as it is; elsewhere it rotates by -point,
+    and the letters that cross the point (``words._crossing``) move their
+    value into the finite part: no value of the period is read."""
     base = finite.base
     if period is None:
         period = CircularWord((0,), base)
     elif point:
-        carry, period = scalar_action(DecimalNumber.from_scaled(1, point, base), period)
-        finite += carry
+        moved = digits_to_int(_crossing(period, -point), base)
+        finite += DecimalNumber.from_scaled(-moved, point, base) if point > 0 else moved
+        period = period.shift(-point)
     value = DcNumber(finite, period).canonical()
     return -value if sign < 0 else value
 

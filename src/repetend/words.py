@@ -484,8 +484,8 @@ class CircularWord:
     def shift(self, k: int = 1) -> "CircularWord":
         """Rotate left by ``k`` positions (negative k rotates right).  The
         value is multiplied by b**k mod m, which carries a cached valuation
-        in linear time when few letters wrap around, and a fraction u/v as
-        u * b**k mod v (1/1, all letters b-1, stays)."""
+        in linear time when few letters cross (:func:`_crossing`), and a
+        fraction u/v as u * b**k mod v (1/1, all letters b-1, stays)."""
         ell = len(self.digits)
         k %= ell
         if k == 0:
@@ -496,12 +496,9 @@ class CircularWord:
             u, v = ratio
             cached["ratio"] = ratio if u == v else (u * pow(self.base, k, v) % v, v)
         if {"valuation", "modulus"} <= self.__dict__.keys() and min(k, ell - k) <= _SMALL:
-            n, m, base = self.valuation, self.modulus, self.base
-            if k <= _SMALL:  # the first k letters A move to the end
-                n = n * base**k - _horner(self.digits[:k], base) * m
-            else:  # the last ell - k letters T move to the front
-                n = (n + _horner(self.digits[k:], base) * m) // base ** (ell - k)
-            cached["valuation"] = n
+            j, b = (k if k <= _SMALL else k - ell), self.base  # the shorter way round
+            n, crossed = self.valuation, _horner(_crossing(self, j), b) * self.modulus
+            cached["valuation"] = n * b**j - crossed if j > 0 else (n + crossed) // b**-j
         return self._sibling(self.digits[k:] + self.digits[:k], _ROTATION_KEEPS, **cached)
 
     def repeat(self, n: int) -> "CircularWord":
@@ -581,16 +578,37 @@ def _ratio(word: CircularWord) -> tuple[int, int]:
 
 
 def _is_null(word: CircularWord) -> bool:
-    """Whether the word's value is 0, read from its fraction if it has one."""
+    """Whether the word's value is 0, read from its fraction or its letters."""
     ratio = word.__dict__.get("ratio")
-    return not (ratio[0] if ratio else word.valuation)
+    return not ratio[0] if ratio else not any(word.digits)
 
 
-def _lifted_value(word: CircularWord, length: int) -> int:
-    """The valuation of ``word`` lifted to ``length`` letters, with none of
-    them written: N(w) * R for the repunit R of ``repeat``; 0 stays 0."""
-    count, value = length // len(word), word.valuation
-    return value * _repunit(word.modulus + 1, count) if value and count > 1 else value
+def _lifted_sum(periods, what: str) -> tuple[int, CircularWord]:
+    """The periods' values summed on their lift to the lcm of their lengths,
+    capped as ``what``: (carry, word) with N(word) + carry * m the sum.  An
+    all-(base-1) sum stays that word and only an overshoot carries; when at
+    most one period is nonzero, its lift is the sum as it stands."""
+    length = _common_length(periods, what)
+    nonzero = [p for p in periods if not _is_null(p)]
+    if len(nonzero) < 2:
+        return 0, (nonzero or periods)[0].lift(length)
+    total = 0
+    for p in nonzero:  # lifted as values: N(p) times the repunit of ``repeat``
+        count = length // len(p)
+        total += p.valuation * _repunit(p.modulus + 1, count) if count > 1 else p.valuation
+    word = nonzero[0].lift(length)  # after the read above, so the lift carries its value
+    carry = (total - 1) // word.modulus
+    return carry, word.with_value(total - carry * word.modulus)
+
+
+def _crossing(word: CircularWord, k: int) -> tuple[int, ...]:
+    """The letters of the period P that cross the point when 0.(P) is
+    multiplied by b**k: the first k of P repeated for k > 0, the last -k for
+    k < 0.  With N their value, 0.(P) * b**k is N + 0.(P.shift(k)) for k >= 0
+    and 0.(P.shift(k)) - N * b**k for k < 0: the shift identification."""
+    cycle = word.digits
+    count, rest = divmod(abs(k), len(cycle))
+    return cycle * count + cycle[:rest] if k >= 0 else cycle[len(cycle) - rest :] + cycle * count
 
 
 def _known_word(digits: tuple[int, ...], base: int, **cached) -> CircularWord:

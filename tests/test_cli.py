@@ -1,4 +1,5 @@
 import argparse
+import random
 import re
 import time
 from math import gcd
@@ -398,6 +399,14 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "period-growth", "--base", "7", "15", "2")
         assert (code, out) == (0, "2 2\n")
 
+    @pytest.mark.parametrize("argv", [["9"], ["--base", "2", "1"], ["--base", "36", "ZZ"]])
+    def test_period_growth_of_one_up_to_the_cap(self, capsys, argv):
+        # 0.(b-1) = 1: a million powers, each of period 1, with no product
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "period-growth", *argv, "1000000")
+        assert (code, out, err) == (0, " ".join(["1"] * 10**6) + "\n", "")
+        assert time.perf_counter() - start < 2
+
     def test_irrational_check_high_degree(self, capsys):
         # one derivative per degree: past the interpreter's recursion limit
         code, out, err = invoke(capsys, "irrational-check", "x^1100+x+1")
@@ -532,6 +541,16 @@ _ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _LITERAL = re.compile(r"(-?)([0-9A-Za-z]*)(?:\.([0-9A-Za-z]*))?(?:\(([0-9A-Za-z]+)\))?")
 
 
+def _read_letters(letters: str, base: int) -> int:
+    """int() of letters at any length: runs of at most 4,000, below the
+    4,300 digits int() reads in a base that is not a power of two."""
+    value = 0
+    for i in range(0, len(letters), 4000):
+        run = letters[i : i + 4000]
+        value = value * base ** len(run) + int(run, base)
+    return value
+
+
 def _oracle_value(text: str, base: int):
     """The value of a literal ``[-]W.F(P)``, read with ``int()`` and the
     fraction oracle alone; None where it is not a literal of ``base``."""
@@ -541,12 +560,21 @@ def _oracle_value(text: str, base: int):
     sign, whole, frac, period = m.group(1), m.group(2), m.group(3) or "", m.group(4)
     try:
         scale = base ** len(frac)
-        value = Fraction(int(whole + frac or "0", base), scale)
+        value = Fraction(_read_letters(whole + frac, base), scale)
         if period:
-            value += Fraction(int(period, base), scale * (base ** len(period) - 1))
+            value += Fraction(_read_letters(period, base), scale * (base ** len(period) - 1))
     except ValueError:  # a letter out of range for the base
         return None
     return -value if sign else value
+
+
+def test_oracle_value_reads_a_long_period():
+    rng = random.Random(5000)
+    period = "".join(rng.choice("0123456789") for _ in range(5000))
+    expected = Fraction(_read_decimal("12" + period) - 12, 10 * (10**5000 - 1))
+    assert _oracle_value(f"-1.2({period})", 10) == -expected
+    assert _oracle_value(f"0.({period[:-1]}A)", 10) is None  # a letter out of range
+    assert _oracle_value("0.(2)", 2) is None
 
 
 def _draw_literal(draw, base: int) -> str:

@@ -126,6 +126,64 @@ class TestStarAddition:
             star("1234567") + star("12345678")
 
 
+def _star_reference_sum(x: StarElement, y: StarElement) -> StarElement:
+    """Both representatives written out to their common length and added
+    letter by letter with the wrapping carry; an all-(base-1) total is 0."""
+    a, b = x.representative, y.representative
+    length = lcm(len(a), len(b))
+    total = reference_circular_carry_add(
+        CircularWord(a.digits * (length // len(a)), a.base),
+        CircularWord(b.digits * (length // len(b)), b.base),
+    )
+    if set(total.digits) == {total.base - 1}:
+        total = CircularWord((0,), total.base)
+    return StarElement.of(total)
+
+
+def _random_letters(rng, base):
+    kind, ell = rng.random(), rng.randint(1, 5)
+    if kind < 0.15:
+        return (base - 1,) * ell
+    if kind < 0.25:
+        return (0,) * ell
+    return tuple(rng.randrange(base) for _ in range(ell))
+
+
+class TestSumsThroughTheLiftedSum:
+    """The star and group sums both go through words._lifted_sum: checked
+    against the letter-by-letter carry, totals of b**ell - 1 included, and
+    star negation against the complement of every letter."""
+
+    def test_star_sum_and_negation(self):
+        rng = random.Random(109)
+        for _ in range(1500):
+            base = rng.choice([2, 3, 7, 10, 36])
+            x = StarElement.of(CircularWord(_random_letters(rng, base), base))
+            y = StarElement.of(CircularWord(_random_letters(rng, base), base))
+            assert x + y == _star_reference_sum(x, y)
+            letters = tuple(base - 1 - d for d in x.representative.digits)
+            if set(letters) == {base - 1}:
+                letters = (0,)
+            assert -x == StarElement.of(CircularWord(letters, base))
+            assert x + (-x) == StarElement.zero(base)  # a total of b**ell - 1
+
+    def test_group_sum(self):
+        rng = random.Random(110)
+        for _ in range(1500):
+            base, ell = rng.choice([2, 3, 7, 10, 36]), rng.randint(1, 5)
+            a = CircularWord(tuple(rng.randrange(base) for _ in range(ell)), base)
+            b = rng.choice([a.complement(), CircularWord((base - 1,) * ell, base), a])
+            if rng.random() < 0.5:
+                b = CircularWord(tuple(rng.randrange(base) for _ in range(ell)), base)
+            reference = GroupElement(reference_circular_carry_add(a, b))
+            assert GroupElement(a) + GroupElement(b) == reference
+
+    def test_group_sum_is_capped_as_every_lifted_sum(self):
+        config.period_cap = 5
+        with pytest.raises(CapacityError, match="^lifted sum of 6 digits exceeds cap of 5$"):
+            g("123456") + g("000001")
+
+
 def reference_circular_product_expanded(x: StarElement, y: StarElement) -> StarElement:
     """Circular product by literal construction, for cross-checks.
 
@@ -256,15 +314,14 @@ class TestRepeatingWord:
             assert writes == [4 * 9999]
         fields = ("digits", "valuation", "modulus", "_primitive_length")
         routes = []
-        monkeypatch.setattr(group, "_DIVISION_MIN_LETTERS", 0)
         monkeypatch.setattr(group, "_DIVISION_LETTERS_PER_BIT", 0)
-        for bits in (1 << 64, 0):  # long division, then the kernel
-            monkeypatch.setattr(group, "_DIVISION_BITS", bits)
+        for letters in (0, 1 << 64):  # long division, then the kernel
+            monkeypatch.setattr(group, "_DIVISION_MIN_LETTERS", letters)
             writes.clear()
             # read, not looked up: long division fills valuation and modulus lazily
             words_made = [repeating_word(u, v, base) for u, v in cases]
             routes.append([tuple(getattr(word, f) for f in fields) for word in words_made])
-            assert len(writes) == (len(cases) if bits else 0)
+            assert len(writes) == (0 if letters else len(cases))
         assert routes[0] == routes[1]
 
 

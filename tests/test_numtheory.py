@@ -20,8 +20,9 @@ from repetend.numtheory import (
     split_denominator,
 )
 from repetend.oracle import Fraction
+from repetend.group import StarElement
 from repetend.rational import from_fraction
-from repetend.words import _common_length
+from repetend.words import CircularWord, _common_length
 
 
 class TestMultiplicativeOrder:
@@ -458,6 +459,22 @@ class TestPeriodGrowth:
 
     def test_beta_word_stays_trivial(self):
         assert period_growth(cw("9"), 5) == [1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("base", [2, 10, 36])
+    def test_beta_word_takes_no_product(self, monkeypatch, base):
+        """0.(b-1) = 1 is the neutral element of the circular product:
+        every power is itself, so no power is multiplied out."""
+
+        def refused(self, other):
+            raise AssertionError("a power of 0.(b-1) was multiplied out")
+
+        monkeypatch.setattr(StarElement, "__mul__", refused)
+        beta = CircularWord((base - 1,) * 3, base)
+        assert period_growth(beta, 10**6) == [1] * 10**6
+        assert period_growth(StarElement.of(beta), 2) == [1, 1]
+        config.period_cap = 10
+        with pytest.raises(CapacityError, match="^period growth list of 11 digits"):
+            period_growth(beta, 11)
 
     def test_rejects_zero_word(self):
         with pytest.raises(ValueError):

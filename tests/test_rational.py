@@ -1,4 +1,5 @@
 import random
+import sys
 from math import gcd, lcm
 
 import pytest
@@ -579,6 +580,77 @@ def _unshift_letter_by_letter(x: WcpNumber) -> WcpNumber:
         period = period.shift(-1)
         point += 1
     return WcpNumber(x.sign, tuple(digits), period, point)
+
+
+def _letters_value(letters, base: int) -> int:
+    """The value of a digit sequence read by int() in runs of 4,000."""
+    text, value = "".join("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"[d] for d in letters), 0
+    for i in range(0, len(text), 4000):
+        value = value * base ** len(text[i : i + 4000]) + int(text[i : i + 4000], base)
+    return value
+
+
+@pytest.mark.parametrize("base", [3, 10, 36])
+def test_reading_a_long_period_builds_no_power(monkeypatch, base):
+    """Parsing W.F(P) and canonicalizing a WCP at a positive point move the
+    period's letters across the point: no b**ell - 1 is built, and the
+    kernel writes no letters but a few of the finite part's."""
+    rng = random.Random(base)
+    period = tuple(rng.randrange(base) for _ in range(20_000))
+    text = "".join("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"[d] for d in period)
+    writes = []
+
+    def refused(*args):
+        raise AssertionError("b**ell - 1 built")
+
+    def counted(n, base, length):
+        writes.append(length)
+        return words_int_to_digits(n, base, length)
+
+    words_int_to_digits = words.int_to_digits
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repetend"):
+            if hasattr(module, "power_less_one"):
+                monkeypatch.setattr(module, "power_less_one", refused)
+            if hasattr(module, "int_to_digits"):
+                monkeypatch.setattr(module, "int_to_digits", counted)
+    parsed = [(f, lit(f"1.{f}({text})", base)) for f in ("", "2", "21", "0" * 7 + "1")]
+    raw = [WcpNumber(-1, (1, 0), CircularWord(period, base), c) for c in (1, 3, 7)]
+    forms = [x.canonical() for x in raw]
+    assert max(writes, default=0) <= 10
+    monkeypatch.undo()
+    n, m = _letters_value(period, base), base ** len(period) - 1
+    for f, value in parsed:
+        scale = base ** len(f)
+        letters = tuple(int(ch, base) for ch in "1" + f)
+        expected = Fraction(_letters_value(letters, base) * m + n, scale * m)
+        assert value.to_fraction() == expected
+    for x, form in zip(raw, forms):
+        assert form.to_fraction() == Fraction(-(base * m + n) * base**x.point, m)
+
+
+def test_sign_is_read_from_letters():
+    """is_negative, read from the period's first letters, against the sign
+    of the value, with many finite parts in -1 < delta < 0 and ones on
+    either side of the boundary -0.(first letters)."""
+    rng = random.Random(41)
+    for _ in range(4000):
+        base, point = rng.randint(2, 36), rng.randint(0, 4)
+        kind = rng.random()
+        if kind < 0.1:
+            period = (base - 1,) * rng.randint(1, 3)
+        elif kind < 0.2:
+            period = (0,) * rng.randint(1, 3)
+        else:
+            period = tuple(rng.randrange(base) for _ in range(rng.randint(1, 6)))
+        lead = _letters_value((period * point)[:point], base)
+        scaled = rng.choice([
+            rng.randint(-(base**point), 0),
+            rng.randint(-(base ** (point + 2)), base**point),
+            -lead, -lead - 1, -lead + 1,
+        ])
+        x = DcNumber(DecimalNumber.from_scaled(scaled, point, base), CircularWord(period, base))
+        assert x.is_negative() == (x.as_ratio()[0] < 0), (scaled, point, base, period)
 
 
 class TestCanonicalOnce:
