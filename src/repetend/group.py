@@ -32,8 +32,9 @@ from .numtheory import multiplicative_order
 from .words import CircularWord
 
 
-def _all_beta(word: CircularWord) -> bool:
-    return word.digits.count(word.base - 1) == len(word)
+def _collapsed(word: CircularWord) -> CircularWord:
+    """The word, or for the all-(base-1) word its complement, the all-zero word."""
+    return word.complement() if word.digits.count(word.base - 1) == len(word) else word
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class GroupElement:
     word: CircularWord
 
     def __post_init__(self):
-        if _all_beta(self.word):  # its complement is the all-zero word
-            object.__setattr__(self, "word", self.word.complement())
+        object.__setattr__(self, "word", _collapsed(self.word))
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "GroupElement":
@@ -75,7 +75,9 @@ class GroupElement:
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         if len(self.word) != len(other.word):
-            raise ValueError(f"mixed lengths {len(self.word)} and {len(other.word)}")
+            raise ValueError(
+                f"mixed lengths {len(self.word)} and {len(other.word)}"
+            )
 
     def __str__(self) -> str:
         return f"{self.word}~"
@@ -114,11 +116,10 @@ class StarElement:
         if self.base != other.base:
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         word = words._lifted_sum((self.representative, other.representative), "lifted sum")[1]
-        return StarElement.of(word.complement() if _all_beta(word) else word)
+        return StarElement.of(_collapsed(word))
 
     def __neg__(self) -> "StarElement":
-        word = self.representative.complement()
-        return StarElement.of(word.complement() if _all_beta(word) else word)
+        return StarElement.of(_collapsed(self.representative.complement()))
 
     def __mul__(self, other: "StarElement") -> "StarElement":
         """Circular product via exact valuation arithmetic.

@@ -320,8 +320,8 @@ def wcp_compare(x: WcpNumber, y: WcpNumber) -> int:
 def wcp_from_dc(x: DcNumber) -> WcpNumber:
     """The canonical written form of x, with no second pass: its magnitude,
     negated once, and its sign; the DC form has made the identifications.
-    The period's first c letters cross the point (``words._crossing``) to
-    end the finite part's c point letters, and it rotates past them."""
+    For a finite part with c letters after the point, the period's first c
+    letters cross it (``words._crossing``) and the period rotates past them."""
     x = x.canonical()
     sign, x = (-1, -x) if x.is_negative() else (1, x)
     base, point, period = x.base, x.delta.point, x.period

@@ -598,16 +598,15 @@ def test_reading_a_long_period_builds_no_power(monkeypatch, base):
     rng = random.Random(base)
     period = tuple(rng.randrange(base) for _ in range(20_000))
     text = "".join("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"[d] for d in period)
-    writes = []
+    writes, int_to_digits = [], words.int_to_digits
 
     def refused(*args):
         raise AssertionError("b**ell - 1 built")
 
     def counted(n, base, length):
         writes.append(length)
-        return words_int_to_digits(n, base, length)
+        return int_to_digits(n, base, length)
 
-    words_int_to_digits = words.int_to_digits
     for name, module in list(sys.modules.items()):
         if name.startswith("repetend"):
             if hasattr(module, "power_less_one"):
