@@ -61,10 +61,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _ExpressionParser:
-    """Plain recursive descent over +, -, *, / and parentheses.
-
-    Parentheses directly attached to digits belong to the literal (a
-    repeating period); free-standing ones group.
+    """+, -, *, / and parentheses, read over an explicit stack, so that no
+    nesting meets the recursion limit; each operation is made as soon as
+    its right operand is read, as recursive descent makes it.  Parentheses
+    directly attached to digits belong to the literal (a repeating
+    period); free-standing ones group.
     """
 
     def __init__(self, tokens: list[str], base: int, on_literal=None):
@@ -84,38 +85,41 @@ class _ExpressionParser:
         return tok
 
     def parse(self) -> DcNumber:
-        value = self.expr()
-        if self.peek() is not None:
-            raise UsageError(f"trailing input at {_quoted(self.peek())}")
-        return value
+        # per open parenthesis, a frame: whether the signs before it negate,
+        # the sum and the product so far, and the operators that continue them
+        frames, fresh = [], (False, None, None, None, None)
+        negate, total, add, product, mul = fresh
+        while True:
+            tok = self.next()
+            if tok in ("+", "-"):
+                negate ^= tok == "-"
+                continue
+            if tok == "(":
+                frames.append((negate, total, add, product, mul))
+                negate, total, add, product, mul = fresh
+                continue
+            value = self.literal(tok)
+            while True:  # a factor is read: make the operations it completes
+                value = -value if negate else value
+                if mul:
+                    value = product * value if mul == "*" else product / value
+                if self.peek() in ("*", "/"):
+                    negate, product, mul = False, value, self.next()
+                    break
+                if add:
+                    value = total + value if add == "+" else total - value
+                if self.peek() in ("+", "-"):
+                    negate, total, add, product, mul = False, value, self.next(), None, None
+                    break
+                if not frames:
+                    if self.peek() is not None:
+                        raise UsageError(f"trailing input at {_quoted(self.peek())}")
+                    return value
+                if self.next() != ")":
+                    raise UsageError("unbalanced parentheses")
+                negate, total, add, product, mul = frames.pop()
 
-    def expr(self) -> DcNumber:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> DcNumber:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def factor(self) -> DcNumber:
-        tok = self.next()
-        if tok == "-":
-            return -self.factor()
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            value = self.expr()
-            if self.next() != ")":
-                raise UsageError("unbalanced parentheses")
-            return value
+    def literal(self, tok: str) -> DcNumber:
         if tok in (")", "*", "/"):
             raise UsageError(f"unexpected {tok!r}")
         try:
@@ -385,6 +389,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse can hand over a positional as a list where "--" stands for it
+        if listed := [name for name, value in vars(args).items() if isinstance(value, list)]:
+            parser.error(f"argument {listed[0]}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     previous_cap, config.period_cap = config.period_cap, args.max_period

@@ -20,6 +20,8 @@ from .words import (
     CircularWord,
     _check_digits,
     _crossing,
+    _fraction_word,
+    _ratio,
     _spell,
     digit_count,
     digits_to_int,
@@ -179,14 +181,17 @@ def scalar_action(d: DecimalNumber, p: CircularWord) -> tuple[DecimalNumber, Cir
 
     With k, c the scaled integer and point of d, d = k * b**-c.  The integer
     multiple is one division, k * N(p) == q * m + r: q plus the word of
-    value r.  Multiplying by b**-c then moves the point c letters left: the
+    value r, or on a word that holds its fraction u/v, k * u == q * v + r
+    and the word of r/v, written once.  Multiplying by b**-c then moves the point c letters left: the
     word's last c letters cross it (``words._crossing``) and it rotates right
     by c.  So value(d) * N(p)/m == value(carry) + N(circ)/m, with the carry
     q - N(crossed) at point c.
     """
     if d.base != p.base:
         raise ValueError(f"mixed bases {d.base} and {p.base}")
-    q, r = divmod(d.scaled * p.valuation, p.modulus)
-    word = p.with_value(r)
+    held = "ratio" in p.__dict__
+    u, v = _ratio(p)  # the fraction p holds, else N(p)/m
+    q, r = divmod(d.scaled * u, v)
+    word = p if r == u else _fraction_word(r, v, p.base, len(p)) if held else p.with_value(r)
     crossed = digits_to_int(_crossing(word, -d.point), d.base)
     return DecimalNumber.from_scaled(q - crossed, d.point, d.base), word.shift(-d.point)

@@ -162,11 +162,11 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
 
     When v is short against a long ell, the letters are what long
     division of u by v writes (``words.period_digits``), in time linear
-    in ell, and the word keeps ``ratio = (u, v)`` in place of its value:
-    base**ell - 1 and u * ((base**ell - 1) // v) are built only if a
-    reader asks for them.  Else, and in a power-of-two base, whose letters
-    are slices of the value's bits, the kernel writes the value
-    (``words.int_to_digits``), and the word keeps it and base**ell - 1.
+    in ell, and the word keeps ``ratio = (u, v)``: its value and
+    base**ell - 1 are built only if a reader asks.  Sums and multiples of
+    such words come back here as one fraction (``words._fraction_word``).
+    Else, and in a power-of-two base, whose letters slice the value's bits,
+    the kernel writes the value and keeps it (``words.int_to_digits``).
     """
     ell = multiplicative_order(base, v)
     shortest = max(v.bit_length() * _DIVISION_LETTERS_PER_BIT, _DIVISION_MIN_LETTERS)

@@ -14,6 +14,7 @@ binary words avoiding the factor 11.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from . import config
@@ -69,9 +70,6 @@ _DECIMAL_LEAF_BITS = 1_024
 _LEAF_DIGITS = 2_000
 # Divisions whose quotient has at most this many bits go to divmod.
 _DIV_LIMIT = 4_000
-# Letters period_digits writes per division in base ten, one str() each;
-# other bases take the most letters whose block stays below 2**64.
-_DECIMAL_BLOCK = 200
 
 
 def int_to_digits(n: int, base: int, length: int) -> tuple[int, ...]:
@@ -127,30 +125,28 @@ def period_digits(u: int, v: int, base: int, length: int) -> tuple[int, ...]:
     """The first ``length`` letters of u/v after the point, 0 <= u <= v:
     those of ``u * ((base**length - 1) // v)`` when v divides base**length - 1.
 
-    Schoolbook long division in blocks of k letters: each block is the
-    quotient of one ``divmod(r * base**k, v)``, so the cost grows with
-    ``length`` times the size of v, not with the size of the number the
-    letters spell.  Base ten spells a block of 200 letters with one
-    ``str()``; any other base splits a block below 2**64, an even number
-    of letters, two letters per ``divmod`` by ``base**2`` through a table
-    of the letter pairs.  The last block is written whole and cut: its
-    first letters are those of the shorter division.  u == v is the
+    Long division, so the cost grows with ``length`` times the size of v,
+    not with the size of the number the letters spell.  Base ten is one
+    exact division in libmpdec, ``u * 10**length // v`` (a short division
+    in C while v is below 10**19), read back with one ``str()``.  Any
+    other base divides in blocks below 2**64, an even number of letters:
+    each block is the quotient of one ``divmod(r * base**k, v)``, split
+    two letters per ``divmod`` by ``base**2`` through a table of the
+    letter pairs.  The last block is written whole and cut: its first
+    letters are those of the shorter division.  u == v is the
     all-(base-1) word, whose first block would overflow.
     """
     if u == v:
         return (base - 1,) * length
-    r = u
     if base == 10:
-        step, text = 10**_DECIMAL_BLOCK, []
-        for _ in range(-(-length // _DECIMAL_BLOCK)):
-            q, r = divmod(r * step, v)
-            text.append(str(q).zfill(_DECIMAL_BLOCK))
-        return tuple("".join(text)[:length].encode().translate(_FROM_ASCII))
+        ctx = _exact_context()
+        q = ctx.divide_int(ctx.create_decimal(u).scaleb(length, ctx), v)
+        return tuple(str(q).zfill(length).encode().translate(_FROM_ASCII))
     k = int(64 / math.log2(base))
     k -= base**k >= 1 << 64  # a power of two: 64 / log2 is exact
     k -= k & 1
     step, square, pairs = base**k, base * base, _letter_pairs(base)
-    splits, letters = range(k // 2), bytearray()
+    splits, letters, r = range(k // 2), bytearray(), u
     for _ in range(-(-length // k)):
         q, r = divmod(r * step, v)
         block = []
@@ -200,16 +196,21 @@ def _decimal_digits(n: int) -> tuple[int, ...]:
     """Base-ten digits of n >= 0, no leading zeros."""
     if n.bit_length() <= _STR_BITS:
         return tuple(str(n).encode().translate(_FROM_ASCII))
+    ctx = _exact_context()
+    return _to_decimal(n, n.bit_length(), ctx, _TwoPowers(ctx)).as_tuple().digits
+
+
+def _exact_context():
+    """A libmpdec context for exact arithmetic, whatever the caller's is;
+    ``decimal`` is imported only when a long base-ten word needs it."""
     import decimal
 
-    # exact arithmetic in a context of its own, whatever the caller's is
-    ctx = decimal.Context(
+    return decimal.Context(
         prec=decimal.MAX_PREC,
         Emax=decimal.MAX_EMAX,
         Emin=decimal.MIN_EMIN,
         traps=[decimal.Inexact],
     )
-    return _to_decimal(n, n.bit_length(), ctx, _TwoPowers(ctx)).as_tuple().digits
 
 
 def _to_decimal(n: int, w: int, ctx, two_powers: "_TwoPowers"):
@@ -485,11 +486,17 @@ class CircularWord:
         """Rotate left by ``k`` positions (negative k rotates right).  The
         value is multiplied by b**k mod m, which carries a cached valuation
         in linear time when few letters cross (:func:`_crossing`), and a
-        fraction u/v as u * b**k mod v (1/1, all letters b-1, stays)."""
+        fraction u/v as u * b**k mod v (1/1, all letters b-1, stays).
+
+        A long rotated word refers weakly to its source: while that lives,
+        the rotation undoing this one returns it, with no copy of letters."""
         ell = len(self.digits)
         k %= ell
         if k == 0:
             return self
+        back = self.__dict__.get("_rotated_from")
+        if back and back[1] + k == ell and (source := back[0]()) is not None:
+            return source
         cached = {}
         ratio = self.__dict__.get("ratio")
         if ratio:
@@ -499,6 +506,8 @@ class CircularWord:
             j, b = (k if k <= _SMALL else k - ell), self.base  # the shorter way round
             n, crossed = self.valuation, _horner(_crossing(self, j), b) * self.modulus
             cached["valuation"] = n * b**j - crossed if j > 0 else (n + crossed) // b**-j
+        if ell > _SMALL:
+            cached["_rotated_from"] = (weakref.ref(self), k)
         return self._sibling(self.digits[k:] + self.digits[:k], _ROTATION_KEEPS, **cached)
 
     def repeat(self, n: int) -> "CircularWord":
@@ -587,11 +596,20 @@ def _lifted_sum(periods, what: str) -> tuple[int, CircularWord]:
     """The periods' values summed on their lift to the lcm of their lengths,
     capped as ``what``: (carry, word) with N(word) + carry * m the sum.  An
     all-(base-1) sum stays that word and only an overshoot carries; when at
-    most one period is nonzero, its lift is the sum as it stands."""
+    most one period is nonzero, its lift is the sum as it stands.  If one
+    holds its fraction and each other one too or is short, the sum is one
+    fraction, written once: no gcd of a long period read from text."""
     length = _common_length(periods, what)
     nonzero = [p for p in periods if not _is_null(p)]
     if len(nonzero) < 2:
         return 0, (nonzero or periods)[0].lift(length)
+    held = ["ratio" in p.__dict__ for p in nonzero]
+    if any(held) and all(h or len(p) <= _SMALL for h, p in zip(held, nonzero)):
+        fractions = [_ratio(p) for p in nonzero]
+        v = math.lcm(*(w for _, w in fractions))
+        total = sum(u * (v // w) for u, w in fractions)
+        carry = (total - 1) // v
+        return carry, _fraction_word(total - carry * v, v, nonzero[0].base, length)
     total = 0
     for p in nonzero:  # lifted as values: N(p) times the repunit of ``repeat``
         count = length // len(p)
@@ -599,6 +617,16 @@ def _lifted_sum(periods, what: str) -> tuple[int, CircularWord]:
     word = nonzero[0].lift(length)  # after the read above, so the lift carries its value
     carry = (total - 1) // word.modulus
     return carry, word.with_value(total - carry * word.modulus)
+
+
+def _fraction_word(u: int, v: int, base: int, length: int) -> CircularWord:
+    """The word of ``length`` letters with value u/v, 0 <= u <= v and v
+    dividing base**length - 1: the period of u/v in lowest terms
+    (``group.repeating_word``), written once and lifted."""
+    from .group import repeating_word  # group builds on this module
+
+    g = math.gcd(u, v)
+    return repeating_word(u // g, v // g, base).lift(length)
 
 
 def _crossing(word: CircularWord, k: int) -> tuple[int, ...]:

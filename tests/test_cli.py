@@ -97,13 +97,42 @@ class TestExitCodes:
             ("fermat", "--base", "x", "5"),
             ("fermat", "1.5"),
             ("frobnicate",),
+            # argparse can hand over a positional that "--" stands for as a list
+            ("product-length", "3", "--", "--"),
+            ("period-growth", "7", "--", "--"),
         ],
-        ids=["no-verb", "no-operand", "one-operand", "bad-base", "bad-int", "unknown-verb"],
+        ids=[
+            "no-verb",
+            "no-operand",
+            "one-operand",
+            "bad-base",
+            "bad-int",
+            "unknown-verb",
+            "dashes-for-an-operand",
+            "dashes-for-a-count",
+        ],
     )
     def test_usage_error_takes_one_line(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and ": error: " in err
+
+    @pytest.mark.parametrize(
+        "expression,code,out",
+        [
+            ("(" * 100_000 + "1" + ")" * 100_000, 0, "1\n"),
+            ("(" * 100_000 + "1" + ")" * 99_999, 1, ""),
+            ("-" * 10_001 + "1", 0, "-1\n"),
+            ("2*" + "(-" * 10_000 + "3" + ")" * 10_000, 0, "6\n"),
+        ],
+        ids=["parentheses", "unclosed", "signs", "signed-parentheses"],
+    )
+    def test_deep_expressions_end_in_an_exit_code(self, capsys, expression, code, out):
+        """Nesting and runs of signs are read without recursion: the
+        answer, or one line on stderr, at any depth."""
+        result = invoke(capsys, "eval", "--", expression)
+        assert result[:2] == (code, out)
+        assert result[2].count("\n") == (code != 0)
 
     @pytest.mark.parametrize(
         "argv,out",
@@ -758,10 +787,12 @@ def _written(n: int, base: int, width: int = 1) -> str:
     return text
 
 
-def _draw_long_product(draw, base):
-    """0.(P)*0.(P') with the period lengths of _LONG_FACTORS, sometimes
-    shifted by a power of the base or negated, and its value."""
-    lengths = draw(st.sampled_from(_LONG_FACTORS[base]), label="lengths")
+def _draw_long_product(draw, base, lengths=None):
+    """0.(P)*0.(P') with the period lengths of _LONG_FACTORS, or the
+    ``lengths`` given, sometimes shifted by a power of the base or
+    negated, and its value."""
+    if lengths is None:
+        lengths = draw(st.sampled_from(_LONG_FACTORS[base]), label="lengths")
     moduli = [base**n - 1 for n in lengths]
     value, factors = Fraction(1), []
     for n, m in zip(lengths, moduli):
@@ -776,10 +807,12 @@ def _draw_long_product(draw, base):
     return "*".join(factors), value
 
 
-def _draw_long_quotient(draw, base):
-    """U/V with V a prime of _LONG_PRIMES times 1, 2, the base or
-    3 * base**2 (an aperiodic part), and U no multiple of the prime."""
-    prime = draw(st.sampled_from(_LONG_PRIMES[base]), label="prime")
+def _draw_long_quotient(draw, base, prime=None):
+    """U/V with V a prime of _LONG_PRIMES, or the ``prime`` given, times
+    1, 2, the base or 3 * base**2 (an aperiodic part), and U no multiple
+    of the prime."""
+    if prime is None:
+        prime = draw(st.sampled_from(_LONG_PRIMES[base]), label="prime")
     v = prime * draw(st.sampled_from([1, 2, base, 3 * base**2]), label="cofactor")
     u = draw(st.integers(-20 * v, 20 * v).filter(lambda u: u % prime), label="u")
     sign = "-" if u < 0 else ""
@@ -836,11 +869,65 @@ class TestPropertyGate:
         with redirect_stdout(out), redirect_stderr(err):
             code = run(["eval", "--base", str(base), text])
         assert (code, err.getvalue()) == (0, ""), text
-        sign, whole, frac, period = _LITERAL.fullmatch(out.getvalue().removesuffix("\n")).groups()
+        period = _assert_expansion(out.getvalue(), base, expected, text)
         assert 1000 <= len(period) <= 20000, (text, len(period))
-        magnitude = abs(expected)
-        whole_part, rest = divmod(magnitude.numerator, magnitude.denominator)
-        assert (sign, int(whole, base)) == ("-" if expected < Fraction(0) else "", whole_part)
-        letters = (frac or "") + period * 2
-        digits = oracle.expansion_digits(rest, magnitude.denominator, base, len(letters))
-        assert letters == "".join(_ALPHABET[d] for d in digits), text
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_long_sums_and_multiples(self, data):
+        """A long period written from its fraction (a product or a
+        quotient, of 1,000 to 20,000 letters) plus or minus a second one
+        over the same denominator or a short literal, or times a finite
+        decimal, in bases 3, 10 and 36: the printed letters are the
+        oracle's, and read back to the value."""
+        base = data.draw(st.sampled_from([3, 10, 36]), label="base")
+        if data.draw(st.booleans(), label="product"):
+            lengths = data.draw(st.sampled_from(_LONG_FACTORS[base]), label="lengths")
+            draw_long = lambda: _draw_long_product(data.draw, base, lengths)
+        else:
+            prime = data.draw(st.sampled_from(_LONG_PRIMES[base]), label="prime")
+            draw_long = lambda: _draw_long_quotient(data.draw, base, prime)
+        text, value = draw_long()
+        text = f"({text})"
+        shape = data.draw(st.sampled_from(["long", "short", "scalar"]), label="shape")
+        if shape == "scalar":
+            k = data.draw(st.integers(-base**3, base**3).filter(bool), label="k")
+            point = data.draw(st.integers(0, 3), label="point")
+            letters = _written(abs(k), base, point + 1)
+            if point:
+                letters = f"{letters[:-point]}.{letters[-point:]}"
+            other = "-" * (k < 0) + letters
+            other_value, op = Fraction(k, base**point), "*"
+        else:
+            if shape == "long":
+                other, other_value = draw_long()
+                other = f"({other})"
+            else:
+                n = data.draw(st.integers(1, 3), label="period_letters")
+                whole, period = (data.draw(st.integers(0, base**n - 1)) for _ in range(2))
+                other = f"{_written(whole, base)}.({_written(period, base, n)})"
+                other_value = Fraction(whole) + Fraction(period, base**n - 1)
+            op = data.draw(st.sampled_from("+-"), label="op")
+        if data.draw(st.booleans(), label="swap"):
+            text, value, other, other_value = other, other_value, text, value
+        expression, expected = f"{text}{op}{other}", _apply(op, value, other_value)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["eval", "--base", str(base), "--", expression])
+        assert (code, err.getvalue()) == (0, ""), expression
+        _assert_expansion(out.getvalue(), base, expected, expression)
+        assert _oracle_value(out.getvalue().removesuffix("\n"), base) == expected, expression
+
+
+def _assert_expansion(out: str, base: int, expected, text: str) -> str:
+    """Check a printed literal against the oracle: its sign and whole part,
+    and its fractional letters and period, twice over, against the letters
+    long division one letter at a time writes.  Returns the period."""
+    sign, whole, frac, period = _LITERAL.fullmatch(out.removesuffix("\n")).groups()
+    magnitude = abs(expected)
+    whole_part, rest = divmod(magnitude.numerator, magnitude.denominator)
+    assert (sign, int(whole, base)) == ("-" if expected < Fraction(0) else "", whole_part)
+    letters = (frac or "") + (period or "") * 2
+    digits = oracle.expansion_digits(rest, magnitude.denominator, base, len(letters))
+    assert letters == "".join(_ALPHABET[d] for d in digits), text
+    return period or ""

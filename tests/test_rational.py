@@ -1,12 +1,14 @@
 import random
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cw, reference_circular_carry_add
-from repetend import config, decimals, notation, rational, words
+from repetend import cli, config, decimals, notation, rational, words
 from repetend.decimals import DecimalNumber
 from repetend.errors import CapacityError
 from repetend.numtheory import split_denominator
@@ -328,6 +330,36 @@ def test_long_product_writes_its_period_once(monkeypatch):
     text = notation.format_dc(x * x)
     assert lengths.count(499995) == 1
     assert text.startswith("0.(000000000100002") and len(text) == 499995 + 4
+
+
+@pytest.mark.parametrize(
+    "expression,length",
+    [("0.(00001)*0.(00001)+0.(3)", 499995), ("1/1000003*7.25", 166667)],
+)
+def test_sum_and_multiple_of_a_fraction_write_their_period_once(monkeypatch, expression, length):
+    """A long period that holds its fraction, plus a short period or times
+    a finite decimal, gives one fraction: the operand's period and the
+    result's are each written once, by long division, and the kernel
+    writes no letters at that length."""
+    kernel, divided = [], []
+
+    def counted(write, lengths):
+        def call(*args):
+            lengths.append(args[-1])
+            return write(*args)
+
+        return call
+
+    monkeypatch.setattr(words, "period_digits", counted(words.period_digits, divided))
+    for module in (words, decimals, rational):
+        monkeypatch.setattr(module, "int_to_digits", counted(words.int_to_digits, kernel))
+    out = StringIO()
+    with redirect_stdout(out):
+        assert cli.run(["eval", expression]) == 0
+    assert divided == [length, length]
+    assert max(kernel, default=0) < 1000
+    expected = Fraction(1, 99999**2) + Fraction(1, 3) if "+" in expression else Fraction(725, 100000300)
+    assert notation.parse(out.getvalue()).to_fraction() == expected
 
 
 def test_zero_carries_leave_the_finite_part(monkeypatch):

@@ -224,20 +224,22 @@ class TestConversionKernel:
             assert digit_count(n, base) == len(bytes(padded).lstrip(b"\0"))
 
 
-def _block_letters(base):
-    """Letters period_digits writes per division: 200 in base ten, else
-    the most whose block stays below 2**64, made even to split in pairs."""
+def _writer_lengths(base):
+    """Lengths on both sides of the unit period_digits works in: in base
+    ten libmpdec's word of 19 digits, and two long divisions; else the
+    most letters whose block stays below 2**64, made even to split in
+    pairs."""
     if base == 10:
-        return words._DECIMAL_BLOCK
-    return max(k for k in range(0, 65, 2) if base**k < 2**64)
+        return (1, 18, 19, 20, 38, 39, 40, 1_000, 4_001, 12_007)
+    k = max(k for k in range(0, 65, 2) if base**k < 2**64)
+    return (k - 1, k, k + 1, 2 * k)
 
 
 class TestPeriodWriter:
     @pytest.mark.parametrize("base", [b for b in range(2, 37) if b & (b - 1)])
     def test_matches_the_kernel(self, base):
         rng = random.Random(base)
-        k = _block_letters(base)
-        for ell in (k - 1, k, k + 1, 2 * k):
+        for ell in _writer_lengths(base):
             m = base**ell - 1
             # seeded u/v with v | m, where u * (m // v) spells u/v; for
             # u == 1 any v coprime to the base does
