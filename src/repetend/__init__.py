@@ -3,11 +3,7 @@ expansions built from circular words."""
 
 from .decimals import DecimalNumber, scalar_action
 from .errors import CapacityError
-from .group import (
-    GroupElement,
-    StarElement,
-    single_letter_multiplier,
-)
+from .group import StarElement
 from .numtheory import (
     PeriodLengthReport,
     UnitaryPolynomial,
@@ -19,21 +15,9 @@ from .numtheory import (
     product_period_length,
 )
 from .oracle import Fraction
-from .rational import (
-    CancellationReport,
-    DcNumber,
-    WcpNumber,
-    cancellation_demo,
-    dc_from_wcp,
-    from_fraction,
-    semiotic_compare,
-    to_fraction,
-    wcp_compare,
-    wcp_from_dc,
-)
+from .rational import DcNumber, WcpNumber, dc_from_wcp, from_fraction, wcp_from_dc
 from .words import (
     CircularWord,
-    FiniteWord,
     count_cyclic_binary_avoiding_11,
     fermat_orbit_count,
     lucas_orbit_count,
@@ -42,19 +26,15 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CancellationReport",
     "CapacityError",
     "CircularWord",
     "DcNumber",
     "DecimalNumber",
-    "FiniteWord",
     "Fraction",
-    "GroupElement",
     "PeriodLengthReport",
     "StarElement",
     "UnitaryPolynomial",
     "WcpNumber",
-    "cancellation_demo",
     "classify_root",
     "classify_root_decimal",
     "count_cyclic_binary_avoiding_11",
@@ -67,9 +47,5 @@ __all__ = [
     "period_length",
     "product_period_length",
     "scalar_action",
-    "semiotic_compare",
-    "single_letter_multiplier",
-    "to_fraction",
-    "wcp_compare",
     "wcp_from_dc",
 ]

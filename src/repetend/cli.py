@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from . import config, notation, numtheory, rational, words
 from .errors import CapacityError
@@ -294,6 +295,7 @@ def _parse_polynomial(text: str, base: int) -> dict:
     return coeffs
 
 
+@cache  # built once per process: argparse reads each command afresh
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(

@@ -1,10 +1,13 @@
 """Exact base-b decimals: a signed integer scaled by a power of the base.
 
-A value is scaled * base**(-point), canonical from construction: point
->= 0, trailing zeros of the integer right of the point go and zero has
-point 0, so equality on (scaled, point, base) is value equality.  A net
-positive exponent (370 = 37 * 10**1) folds into the integer.  The letters
-of the written form are made only when they are read.
+A value is scaled * base**(-point), built by ``from_scaled`` and
+canonical from construction: point >= 0, trailing zeros of the integer
+right of the point go and zero has point 0, so equality on
+(scaled, point, base) is value equality.  A net positive exponent
+(370 = 37 * 10**1) folds into the integer.  The letters of the written
+form are made only when they are read.  Sums, products and negation stay
+in the integers; the order of finite parts is that of the DC numbers
+that hold them.
 
 Also home to the scalar action of these numbers on circular words, which
 splits a product (finite decimal) * (pure repeating fraction) into a
@@ -18,7 +21,6 @@ from functools import cached_property
 
 from .words import (
     CircularWord,
-    _check_digits,
     _crossing,
     _fraction_word,
     _ratio,
@@ -34,17 +36,6 @@ class DecimalNumber:
     scaled: int  # the signed integer k with value k * base**(-point)
     point: int
     base: int
-
-    def __init__(self, sign: int, digits: tuple[int, ...], point: int, base: int):
-        """Read sign * N(digits) * base**(-point), the point within the word."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not 0 <= point <= len(digits):
-            raise ValueError("point must lie within the word")
-        _check_digits(digits, base)
-        # (s, 0W, c) = (s, W, c) = (s, W0, c+1) and -0 = +0, as from_scaled has it
-        scaled = sign * digits_to_int(digits, base)
-        self.__dict__.update(vars(DecimalNumber.from_scaled(scaled, point, base)))
 
     @classmethod
     def from_scaled(cls, scaled: int, point: int, base: int) -> "DecimalNumber":
@@ -73,10 +64,6 @@ class DecimalNumber:
     def zero(cls, base: int) -> "DecimalNumber":
         return cls.from_int(0, base)
 
-    @classmethod
-    def one(cls, base: int) -> "DecimalNumber":
-        return cls.from_int(1, base)
-
     @property
     def sign(self) -> int:
         return -1 if self.scaled < 0 else 1
@@ -86,12 +73,6 @@ class DecimalNumber:
         """The magnitude's letters: at least one, and reaching the point."""
         mag, base = abs(self.scaled), self.base
         return int_to_digits(mag, base, max(digit_count(mag, base), self.point, 1))
-
-    def canonical(self) -> "DecimalNumber":
-        return self
-
-    def is_zero(self) -> bool:
-        return self.scaled == 0
 
     def __bool__(self) -> bool:
         return self.scaled != 0
@@ -127,12 +108,6 @@ class DecimalNumber:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "DecimalNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "DecimalNumber":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -143,31 +118,8 @@ class DecimalNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DecimalNumber":
-        if n < 0:
-            raise ValueError("a negative power need not be a finite decimal")
-        return DecimalNumber.from_scaled(self.scaled**n, self.point * n, self.base)
-
     def __neg__(self) -> "DecimalNumber":
         return DecimalNumber.from_scaled(-self.scaled, self.point, self.base)
-
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        point = max(self.point, other.point)
-        a, b = self.scaled_to(point), other.scaled_to(point)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         text = _spell(self.digits)

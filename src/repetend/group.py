@@ -1,25 +1,19 @@
-"""Circular words under carry-wrapping addition, and their product.
+"""The circular product of circular words, and the word of a fraction.
 
-Fixed-length words with the all-(base-1) word identified to the all-zero
-word form an abelian group isomorphic to the integers modulo b**len - 1.
-Addition is done on valuations through that isomorphism, and checked in
-the tests against a digit-by-digit routine.  Words of different lengths
-combine after lifting to the least common multiple, and results collapse
-to their primitive period.
-
-The product of two circular words is the circular word of the product of
-the values the operands denote as pure repeating fractions.  For a pair
-of single letters p, p' in base b it is the length-(b-1) word with value
+A primitive circular word P denotes the pure repeating fraction
+0.(P) = N(P) / (b**len - 1); ``StarElement`` holds one such word per
+power class.  The product of two of them is the circular word of the
+product of the values they denote.  For a pair of single letters p, p'
+in base b it is the length-(b-1) word with value
 p * p' * (1 + sum (b-i-2) b**i); longer operands reduce to that case by a
-change of base.  The tests build that enormous word literally; this module
-evaluates the same product on the operands' reduced fractions and never
-builds it.  The product's period is the word of the fraction u/v
+change of base.  The tests build that enormous word literally
+(``reference_circular_product_expanded``); this module evaluates the
+same product on the operands' reduced fractions and never builds it.
+The product's period is the word of the fraction u/v
 (``repeating_word``); a long one is written by long division and keeps
 (u, v) as its value, so neither base**ell - 1 nor its valuation is built
-unless a reader needs them.
-Note the identification regimes differ: for addition the all-(base-1)
-word is zero, for multiplication it is the neutral element, so star
-elements keep it intact and only additive results collapse it.
+unless a reader needs them.  The all-(base-1) word denotes 1, the
+product's neutral element, so a star element keeps it intact.
 """
 
 from __future__ import annotations
@@ -30,57 +24,6 @@ from math import gcd
 from . import words
 from .numtheory import multiplicative_order
 from .words import CircularWord
-
-
-def _collapsed(word: CircularWord) -> CircularWord:
-    """The word, or for the all-(base-1) word its complement, the all-zero word."""
-    return word.complement() if word.digits.count(word.base - 1) == len(word) else word
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A length-ell circular word modulo the all-(base-1) = all-zero
-    identification, applied eagerly at construction."""
-
-    word: CircularWord
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", _collapsed(self.word))
-
-    @classmethod
-    def from_int(cls, n: int, base: int, length: int) -> "GroupElement":
-        return cls(CircularWord.from_int(n % words.power_less_one(base, length), base, length))
-
-    @property
-    def base(self) -> int:
-        return self.word.base
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_compatible(other)
-        return GroupElement(words._lifted_sum((self.word, other.word), "lifted sum")[1])
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.word.complement())
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def shift(self, k: int = 1) -> "GroupElement":
-        return GroupElement(self.word.shift(k))
-
-    def _check_compatible(self, other: "GroupElement") -> None:
-        if self.base != other.base:
-            raise ValueError(f"mixed bases {self.base} and {other.base}")
-        if len(self.word) != len(other.word):
-            raise ValueError(
-                f"mixed lengths {len(self.word)} and {len(other.word)}"
-            )
-
-    def __str__(self) -> str:
-        return f"{self.word}~"
 
 
 @dataclass(frozen=True)
@@ -97,10 +40,6 @@ class StarElement:
     def of(cls, word: CircularWord) -> "StarElement":
         return cls(word.primitive_period())
 
-    @classmethod
-    def zero(cls, base: int) -> "StarElement":
-        return cls(CircularWord((0,), base))
-
     @property
     def base(self) -> int:
         return self.representative.base
@@ -111,15 +50,6 @@ class StarElement:
         n, m = words._ratio(self.representative)
         g = gcd(n, m)
         return n // g, m // g
-
-    def __add__(self, other: "StarElement") -> "StarElement":
-        if self.base != other.base:
-            raise ValueError(f"mixed bases {self.base} and {other.base}")
-        word = words._lifted_sum((self.representative, other.representative), "lifted sum")[1]
-        return StarElement.of(_collapsed(word))
-
-    def __neg__(self) -> "StarElement":
-        return StarElement.of(_collapsed(self.representative.complement()))
 
     def __mul__(self, other: "StarElement") -> "StarElement":
         """Circular product via exact valuation arithmetic.
@@ -136,9 +66,6 @@ class StarElement:
         u, v = u1 * u2, v1 * v2
         g = gcd(u, v)
         return StarElement(repeating_word(u // g, v // g, self.base))
-
-    def __str__(self) -> str:
-        return f"{self.representative}~"
 
 
 # repeating_word writes a period of ell letters by long division of u by v,
@@ -177,14 +104,4 @@ def repeating_word(u: int, v: int, base: int) -> CircularWord:
     n = u * (m // v)
     digits = words.int_to_digits(n, base, ell)
     return words._known_word(digits, base, valuation=n, modulus=m, _primitive_length=ell)
-
-
-def single_letter_multiplier(base: int) -> int:
-    """The factor turning a product of letters into a product word:
-    1 + sum of (base-i-2) * base**i over 0 <= i < base-2.
-
-    Its digit word is beta, beta-2, ..., 2, 1 read right to left, and its
-    value (base**(base-1) - 1) / (base-1)**2: (10**9 - 1) / 81 = 12345679.
-    """
-    return words.power_less_one(base, base - 1) // (base - 1) ** 2
 

@@ -133,7 +133,7 @@ class UnitaryPolynomial:
         if degree < 1:
             raise ValueError("polynomial must have degree >= 1")
         lead = written[degree]
-        if lead - 1:  # 0 for a lead of 1, integer or decimal
+        if lead + -1:  # 0 for a lead of 1, integer or decimal (which has no -)
             raise ValueError(f"leading coefficient must be 1, got {lead}")
         terms = tuple((e, written[e]) for e in sorted(written, reverse=True) if written[e])
         object.__setattr__(self, "terms", terms)
@@ -141,9 +141,6 @@ class UnitaryPolynomial:
     @property
     def degree(self) -> int:
         return self.terms[0][0]
-
-    def __call__(self, x):
-        return _evaluate(self.terms, x)
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,8 @@ def _decimal_report(roots, b: int, argument: str) -> DecimalRootClassification:
 
 
 def period_growth(p, n_max: int) -> list[int]:
-    """Primitive period length of the k-th circular power of p, k = 1..n_max.
+    """Primitive period length of the k-th circular power of the circular
+    word p, k = 1..n_max.
 
     Powers are taken with the circular product; the reported length is
     that of the value's shortest period.  The sequence is unbounded but
@@ -309,7 +307,7 @@ def period_growth(p, n_max: int) -> list[int]:
 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = StarElement.of(p) if not isinstance(p, StarElement) else p
+    base = StarElement.of(p)
     if base.representative.valuation == 0:
         raise ValueError("period growth needs a nontrivial word")
     config.check_period(n_max, "period growth list")

@@ -2,22 +2,24 @@
 
 Two interchangeable representations:
 
+* ``DcNumber`` -- an exact finite decimal plus a circular period aligned
+  to start right after the point.  Less readable (the decimal can be
+  negative while the value is not), far better for arithmetic: the field
+  operations and the order are defined here.
 * ``WcpNumber`` -- sign, aperiodic word, circular period, point offset.
   The point offset counts digits between the point and the start of the
   period (negative when the point lies inside the aperiodic part).  This
-  is the form that reads like the familiar expansion.
-* ``DcNumber`` -- an exact finite decimal plus a circular period aligned
-  to start right after the point.  Less readable (the decimal can be
-  negative while the value is not), far better for arithmetic.
+  is the form that reads like the familiar expansion, and the one the
+  formatter writes; its values are added and multiplied in the DC form.
 
 Construction is raw but for finite parts; ``canonical()`` applies the
 identifications, so that equal values have equal canonical forms, and
 returns a canonical value as it is.  They live in the DC form (primitive
 period, no all-(base-1) period); a WCP is canonicalized by the round trip
 through it, and ``wcp_from_dc`` writes the canonical WCP with no second
-pass.  Arithmetic accepts raw inputs and returns canonical results; the
-semiotic order and the cancellation demonstration deliberately keep
-pre-identification forms visible.
+pass.  Arithmetic accepts raw inputs and returns canonical results;
+``DcNumber._add_raw`` keeps the pre-identification sum visible, which is
+how the tests show that 0.(9) and 1 add alike.
 
 Fractions appear only at the explicit conversion endpoints.  Reading and
 writing move letters across the point by one rule (``words._crossing``);
@@ -72,27 +74,12 @@ class DcNumber:
     def base(self) -> int:
         return self.delta.base
 
-    @classmethod
-    def from_int(cls, n: int, base: int) -> "DcNumber":
-        return cls(DecimalNumber.from_int(n, base), CircularWord((0,), base))
-
-    @classmethod
-    def zero(cls, base: int) -> "DcNumber":
-        return cls.from_int(0, base)
-
-    @classmethod
-    def one(cls, base: int) -> "DcNumber":
-        return cls.from_int(1, base)
-
     def canonical(self) -> "DcNumber":
         """This number itself when its period is primitive and not all-(b-1)."""
         period = self.period.primitive_period()
         if period.digits == (self.base - 1,):
             return DcNumber(self.delta + 1, CircularWord((0,), self.base))
         return self if period is self.period else DcNumber(self.delta, period)
-
-    def is_zero(self) -> bool:
-        return self.as_ratio()[0] == 0
 
     def is_negative(self) -> bool:
         """Read from letters: a canonical period is below 1, so negative when
@@ -213,25 +200,6 @@ class WcpNumber:
     def aperiodic_value(self) -> int:
         return digits_to_int(self.aperiodic, self.base)
 
-    @classmethod
-    def zero(cls, base: int) -> "WcpNumber":
-        return cls(1, (0,), CircularWord((0,), base), 0)
-
-    def is_zero(self) -> bool:
-        return self.aperiodic_value == 0 and self.period.valuation == 0
-
-    def is_purely_periodic(self) -> bool:
-        """Canonical shape of a value in [0, 1) whose expansion repeats
-        from the first digit on."""
-        return self.aperiodic in ((), (0,)) and self.point == 0
-
-    def to_fraction(self) -> Fraction:
-        m = self.period.modulus
-        num = self.sign * (self.aperiodic_value * m + self.period.valuation)
-        if self.point >= 0:
-            return Fraction(num * self.base**self.point, m)
-        return Fraction(num, m * self.base**-self.point)
-
     def canonical(self) -> "WcpNumber":
         """The round trip through the DC form, where the identifications
         live: this number itself when that changes nothing."""
@@ -242,39 +210,10 @@ class WcpNumber:
             self.__dict__["_canonical"] = True
         return self
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __neg__(self) -> "WcpNumber":
-        if self.is_zero():
-            return self.canonical()
-        return WcpNumber(-self.sign, self.aperiodic, self.period, self.point)
-
-    def __add__(self, other: "WcpNumber") -> "WcpNumber":
-        return wcp_from_dc(dc_from_wcp(self) + dc_from_wcp(other))
-
-    def __sub__(self, other: "WcpNumber") -> "WcpNumber":
-        return self + (-other)
-
-    def __mul__(self, other: "WcpNumber") -> "WcpNumber":
-        return wcp_from_dc(dc_from_wcp(self) * dc_from_wcp(other))
-
     def __str__(self) -> str:
         sign = "+" if self.sign > 0 else "-"
         digits = _spell(self.aperiodic) or "0"
         return f"({sign}, {digits}, ({self.period}), {self.point})"
-
-
-def align(x: WcpNumber, y: WcpNumber) -> tuple[WcpNumber, WcpNumber]:
-    """Present two numbers with the same point offset, period length and
-    aperiodic length, using only the identifications (no value change)."""
-    if x.base != y.base:
-        raise ValueError(f"mixed bases {x.base} and {y.base}")
-    point = min(x.point, y.point)
-    x, y = _lower_point(x, point), _lower_point(y, point)
-    length = _common_length((x.period, y.period), "aligned period")
-    width = max(len(x.aperiodic), len(y.aperiodic), 1)
-    pad = lambda w: (0,) * (width - len(w.aperiodic)) + w.aperiodic
-    return tuple(WcpNumber(w.sign, pad(w), w.period.lift(length), point) for w in (x, y))
 
 
 def _lower_point(x: WcpNumber, point: int) -> WcpNumber:
@@ -284,34 +223,6 @@ def _lower_point(x: WcpNumber, point: int) -> WcpNumber:
     k = x.point - point
     moved = _crossing(x.period, k)
     return WcpNumber(x.sign, tuple(x.aperiodic) + moved, x.period.shift(k), point)
-
-
-def semiotic_compare(x: WcpNumber, y: WcpNumber) -> int:
-    """Order by the written signs alone: lexicographic on the aligned
-    (aperiodic, period) pairs.  Declares the all-(base-1) period smaller
-    than the bumped form of the same value, as the raw digits suggest."""
-    xa, ya = align(x, y)
-    if xa.is_zero() and ya.is_zero():
-        return 0
-    sx = 0 if xa.is_zero() else xa.sign
-    sy = 0 if ya.is_zero() else ya.sign
-    if sx != sy:
-        return -1 if sx < sy else 1
-    key_x = (xa.aperiodic_value, tuple(xa.period.digits))
-    key_y = (ya.aperiodic_value, tuple(ya.period.digits))
-    if key_x == key_y:
-        return 0
-    result = -1 if key_x < key_y else 1
-    return result if sx >= 0 else -result
-
-
-def wcp_compare(x: WcpNumber, y: WcpNumber) -> int:
-    """The true order: the semiotic one corrected by the identifications,
-    so equal values compare equal."""
-    xc, yc = x.canonical(), y.canonical()
-    if xc == yc:
-        return 0
-    return semiotic_compare(xc, yc)
 
 
 # -- conversions -------------------------------------------------------
@@ -401,69 +312,11 @@ def from_fraction(u: int, v: int, base: int) -> DcNumber:
     return from_ratio(u, v, base)
 
 
-def to_fraction(x) -> Fraction:
-    return x.to_fraction()
-
-
-# -- the cancellation demonstration ------------------------------------
-
-
-@dataclass(frozen=True)
-class CancellationReport:
-    """Both ways of writing a + x when a carries the all-(base-1) period:
-    as given, and with the period bumped into the finite part.  The digit
-    results coincide, which is what forces the identification."""
-
-    nines_form: DcNumber
-    bumped_form: DcNumber
-    nines_sum: DcNumber
-    bumped_sum: DcNumber
-
-    @property
-    def identical(self) -> bool:
-        return self.nines_sum == self.bumped_sum  # the same raw delta and period
-
-    def __str__(self) -> str:
-        lines = [
-            f"  {self.nines_form} + x = {self.nines_sum}",
-            f"  {self.bumped_form} + x = {self.bumped_sum}",
-            "identical digit results force the identification"
-            if self.identical
-            else "results differ",
-        ]
-        return "\n".join(lines)
-
-
-def cancellation_demo(a: DcNumber, x: DcNumber) -> CancellationReport:
-    """Add x to the two denotations of the same value a and report that
-    the digit-level sums coincide.
-
-    ``a`` must carry an all-(base-1) period and ``x`` a nontrivial one;
-    with a trivial period the two routes stay distinguishable and the
-    demonstration says nothing.
-    """
-    if a.period.digits.count(a.base - 1) != len(a.period):
-        raise ValueError("demonstration input must carry the all-(base-1) period")
-    if x.period.valuation == 0:
-        raise ValueError("x must have a nontrivial period")
-    bumped = DcNumber(a.delta + 1, CircularWord((0,) * len(a.period), a.base))
-    sum_nines = a._add_raw(x)
-    sum_bumped = bumped._add_raw(x)
-    return CancellationReport(a, bumped, sum_nines, sum_bumped)
-
-
 __all__ = [
-    "CancellationReport",
     "DcNumber",
-    "Fraction",
     "WcpNumber",
-    "align",
-    "cancellation_demo",
     "dc_from_wcp",
     "from_fraction",
     "from_ratio",
-    "semiotic_compare",
-    "to_fraction",
-    "wcp_compare",
     "wcp_from_dc",
 ]

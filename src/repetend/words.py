@@ -1,10 +1,12 @@
 """Finite and circular digit words over the alphabet {0, ..., base-1}.
 
-A finite word reads as an integer in the usual positional way (leftmost
-digit most significant).  A circular word is a nonempty word whose indices
-live modulo its length, so its last letter is followed by its first; the
-canonical textual form always starts at index 0, and rotated copies are
-distinct words here (value-level identifications live elsewhere).
+A finite word is a tuple of letters, read as an integer in the usual
+positional way (leftmost digit most significant) by :func:`digits_to_int`
+and written by :func:`int_to_digits`.  A circular word is a nonempty word
+whose indices live modulo its length, so its last letter is followed by
+its first; the canonical textual form always starts at index 0, and
+rotated copies are distinct words here (value-level identifications live
+elsewhere).
 
 Also provides two enumeration demonstrations over these words: the orbit
 decomposition behind b**p == k*p + b for prime p, and the count of cyclic
@@ -389,38 +391,6 @@ def _check_digits(digits: tuple[int, ...], base: int) -> None:
     if digits and not (0 <= min(digits) and max(digits) < base):
         bad = next(d for d in digits if not 0 <= d < base)
         raise ValueError(f"digit {bad} out of range for base {base}")
-
-
-@dataclass(frozen=True)
-class FiniteWord:
-    """A possibly-empty digit word; empty reads as 0."""
-
-    digits: tuple[int, ...]
-    base: int
-
-    def __post_init__(self):
-        _check_digits(self.digits, self.base)
-
-    @classmethod
-    def from_int(cls, n: int, base: int, length: int | None = None) -> "FiniteWord":
-        if length is None:
-            return cls(_minimal_digits(n, base), base)
-        return cls(int_to_digits(n, base, length), base)
-
-    @cached_property
-    def valuation(self) -> int:
-        return digits_to_int(self.digits, self.base)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def repeat(self, n: int) -> "FiniteWord":
-        if n < 1:
-            raise ValueError("repetition count must be >= 1")
-        return FiniteWord(self.digits * n, self.base)
-
-    def __str__(self) -> str:
-        return _spell(self.digits)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from hypothesis import settings
 from repetend import config
 from repetend.group import StarElement
 from repetend.numtheory import product_period_length
-from repetend.words import CircularWord, FiniteWord, char_digit
+from repetend.oracle import Fraction
+from repetend.words import CircularWord, char_digit
 
 settings.register_profile("det", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("det")
@@ -17,10 +18,6 @@ def _default_cap():
     config.period_cap = config.DEFAULT_PERIOD_CAP
     yield
     config.period_cap = config.DEFAULT_PERIOD_CAP
-
-
-def fw(text: str, base: int = 10) -> FiniteWord:
-    return FiniteWord(tuple(char_digit(c) for c in text), base)
 
 
 def cw(text: str, base: int = 10) -> CircularWord:
@@ -55,6 +52,16 @@ def reference_circular_carry_add(a: CircularWord, b: CircularWord) -> CircularWo
     if carry:
         raise RuntimeError("circular carry did not settle")
     return CircularWord(tuple(digits), base)
+
+
+def reference_wcp_fraction(x) -> Fraction:
+    """The value of a WCP (sign, aperiodic, period, point) read as written,
+    identifications and all: sign * (A + N(P)/m) * b**point, m = b**len - 1."""
+    m = x.period.modulus
+    num = x.sign * (x.aperiodic_value * m + x.period.valuation)
+    if x.point >= 0:
+        return Fraction(num * x.base**x.point, m)
+    return Fraction(num, m * x.base**-x.point)
 
 
 def reference_product_period_scan(ell: int, ell2: int, b: int, limit: int | None = None) -> int:

@@ -20,7 +20,6 @@ import hashlib
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from io import StringIO
 from pathlib import Path
 
@@ -30,19 +29,11 @@ CORPUS = Path(__file__).with_name("cli_corpus.txt")
 _ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-# one parser for every call: argparse reads each command afresh
-_parser = cache(cli.build_parser)
-
-
 def digest(argv: list[str]) -> str:
     """SHA-256 of the exit code, stdout and stderr of ``cli.run(argv)``."""
     out, err = StringIO(), StringIO()
-    build, cli.build_parser = cli.build_parser, _parser
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.run(argv)
-    finally:
-        cli.build_parser = build
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 

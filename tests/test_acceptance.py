@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import cw, reference_product_period_scan
+from conftest import cw, reference_product_period_scan, reference_wcp_fraction
 from repetend import notation, oracle
 from repetend.cli import run
 from repetend.decimals import DecimalNumber
@@ -23,12 +23,7 @@ from repetend.numtheory import (
     product_period_length,
 )
 from repetend.oracle import Fraction
-from repetend.rational import (
-    DcNumber,
-    cancellation_demo,
-    from_fraction,
-    wcp_from_dc,
-)
+from repetend.rational import DcNumber, dc_from_wcp, from_fraction, wcp_from_dc
 from repetend.words import CircularWord, fermat_orbit_count, lucas_orbit_count
 
 lit = notation.parse
@@ -111,9 +106,12 @@ def test_criterion_04_oracle_equivalence():
             if fy.numerator:
                 assert (x / y).to_fraction() == fx / fy
             assert x.compare(y) == (-1 if fx < fy else (0 if fx == fy else 1))
+            # the written forms add and multiply as the DC numbers they denote
             wx, wy = wcp_from_dc(x), wcp_from_dc(y)
-            assert (wx + wy).to_fraction() == fx + fy
-            assert (wx * wy).to_fraction() == fx * fy
+            wsum = wcp_from_dc(dc_from_wcp(wx) + dc_from_wcp(wy))
+            wproduct = wcp_from_dc(dc_from_wcp(wx) * dc_from_wcp(wy))
+            assert reference_wcp_fraction(wsum) == fx + fy
+            assert reference_wcp_fraction(wproduct) == fx * fy
             pairs += 1
     elapsed = time.perf_counter() - start
     assert pairs >= 1000
@@ -140,7 +138,7 @@ def test_criterion_05_historical_fixtures():
 def test_criterion_06_nines_identity():
     assert out(lit("0.(9)")) == "1"
     nines = DcNumber(DecimalNumber.zero(10), CircularWord((9,), 10))
-    one = DcNumber.one(10)
+    one = lit("1")
     assert nines.compare(one) == 0
 
     rng = random.Random(99)
@@ -158,7 +156,10 @@ def test_criterion_06_nines_identity():
             DecimalNumber.from_int(rng.randint(-5, 5), 10),
             CircularWord((9,) * rng.randint(1, 4), 10),
         )
-        assert cancellation_demo(a, x).identical
+        # a's all-(b-1) period, bumped into its finite part: the raw sums
+        # with x coincide digit for digit
+        bumped = DcNumber(a.delta + 1, CircularWord((0,) * len(a.period), 10))
+        assert a._add_raw(x) == bumped._add_raw(x)
         demos += 1
     report(6, "0.(9) = 1 and 20 cancellation demonstrations are digit-identical")
 
@@ -169,7 +170,8 @@ def test_criterion_07_purely_periodic_characterization():
             x = from_fraction(1, v, base)
             shape = wcp_from_dc(x)
             coprime = gcd(v, base) == 1
-            assert shape.is_purely_periodic() == coprime
+            purely_periodic = shape.aperiodic in ((), (0,)) and shape.point == 0
+            assert purely_periodic == coprime
             if coprime:
                 assert len(x.period) <= v - 1
                 rep = period_length(v, base)
@@ -200,7 +202,7 @@ def test_criterion_09_irrationality_classifier():
 
     surd = UnitaryPolynomial(
         (DecimalNumber.from_scaled(-357, 2, 10), DecimalNumber.zero(10),
-         DecimalNumber.zero(10), DecimalNumber.one(10))
+         DecimalNumber.zero(10), DecimalNumber.from_int(1, 10))
     )
     decimal_result = classify_root_decimal(surd, 10)
     assert decimal_result.roots == ()

@@ -420,7 +420,8 @@ class TestVerbs:
 
     def test_irrational_check_requires_monic(self, capsys):
         # the highest written power is the degree, even with a coefficient 0
-        for polynomial, lead in [("2x^2-1", "2"), ("0x^3+x^2-2", "0")]:
+        cases = [("2x^2-1", "2"), ("0x^3+x^2-2", "0"), ("0.5x^2-1", "0.5")]
+        for polynomial, lead in cases:
             err = f"repetend: leading coefficient must be 1, got {lead}\n"
             assert invoke(capsys, "irrational-check", polynomial) == (2, "", err)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import cw
 from repetend.decimals import DecimalNumber, scalar_action
 from repetend.oracle import Fraction
+from repetend.rational import DcNumber
 from repetend.words import CircularWord, digits_to_int
 
 
@@ -18,6 +19,11 @@ def dec(text: str, base: int = 10) -> DecimalNumber:
     whole, _, frac = text.partition(".")
     scaled = int(whole + frac, base) if (whole + frac) else 0
     return DecimalNumber.from_scaled(sign * scaled, len(frac), base)
+
+
+def read(sign: int, digits: tuple, point: int, base: int) -> DecimalNumber:
+    """sign * N(digits) * base**-point, the point within the word."""
+    return DecimalNumber.from_scaled(sign * digits_to_int(digits, base), point, base)
 
 
 def as_fraction(d: DecimalNumber) -> Fraction:
@@ -47,11 +53,10 @@ class TestCanonicalForm:
         assert total.sign == 1
 
     def test_constructor_applies_the_identifications(self):
-        assert DecimalNumber(1, (0, 3, 7, 0), 1, 10) == DecimalNumber.from_scaled(37, 0, 10)
-        x = DecimalNumber(-1, (0, 0, 4, 7, 0), 4, 10)
+        assert read(1, (0, 3, 7, 0), 1, 10) == DecimalNumber.from_scaled(37, 0, 10)
+        x = read(-1, (0, 0, 4, 7, 0), 4, 10)
         assert (x.sign, x.digits, x.point) == (-1, (0, 4, 7), 3)
-        assert x.canonical() is x
-        zero = DecimalNumber(-1, (0, 0), 1, 10)
+        zero = read(-1, (0, 0), 1, 10)
         assert zero == DecimalNumber.zero(10) and zero.sign == 1
 
     def test_positive_exponent_padded_with_zeros(self):
@@ -68,13 +73,8 @@ class TestCanonicalForm:
     def test_identifications_confluent(self, x, lead, trail):
         # (s, W, c) = (s, 0W, c) = (s, W0, c+1): any padded denotation
         # canonicalizes back to the same value
-        padded = DecimalNumber(
-            x.sign if not x.is_zero() else 1,
-            (0,) * lead + x.digits + (0,) * trail,
-            x.point + trail,
-            x.base,
-        )
-        assert padded.canonical() == x
+        padded = read(x.sign, (0,) * lead + x.digits + (0,) * trail, x.point + trail, x.base)
+        assert padded == x
 
     @pytest.mark.parametrize("base", [2, 10, 36])
     def test_long_values_strip_and_scale(self, base):
@@ -82,17 +82,17 @@ class TestCanonicalForm:
         x = DecimalNumber.from_scaled(-core * base**500, 700, base)
         assert (x.sign, x.point) == (-1, 200)
         assert x.digits[-1] != 0
-        assert x.scaled == DecimalNumber(-1, x.digits, 200, base).scaled == -core
+        assert x.scaled == read(-1, x.digits, 200, base).scaled == -core
         y = DecimalNumber.from_scaled(core, -300, base)
         assert y.point == 0 and y.digits[-300:] == (0,) * 300
-        assert y.scaled == DecimalNumber(1, y.digits, 0, base).scaled == core * base**300
+        assert y.scaled == read(1, y.digits, 0, base).scaled == core * base**300
         # an all-zero fraction of 100,000 letters strips at once
         z = DecimalNumber.from_scaled(5 * base**100_000, 100_000, base)
         assert (z.scaled, z.point) == (5, 0)
 
     def test_equal_values_hash_alike(self):
-        read = DecimalNumber(1, (3, 7, 0), 1, 10)
-        assert len({read, DecimalNumber.from_scaled(37, 0, 10)}) == 1
+        written = read(1, (3, 7, 0), 1, 10)
+        assert len({written, DecimalNumber.from_scaled(37, 0, 10)}) == 1
 
     def test_digits_written_only_when_read(self):
         x = DecimalNumber.from_scaled(-370, 1, 10)
@@ -135,7 +135,9 @@ class TestRingOperations:
 
     @given(decimals(), decimals())
     def test_order_matches_oracle(self, a, b):
-        assert (a < b) == (as_fraction(a) < as_fraction(b))
+        # finite parts are ordered as the DC numbers with a zero period
+        zero = CircularWord((0,), a.base)
+        assert (DcNumber(a, zero) < DcNumber(b, zero)) == (as_fraction(a) < as_fraction(b))
 
 
 class TestScalarAction:
@@ -224,7 +226,7 @@ class TestScalarActionAgainstDivision:
                 digits = (base - 1,) * ell
             point = rng.randint(0, 3 * ell + 2)
             scalar = tuple(rng.randrange(base) for _ in range(point + rng.randint(0, 3)))
-            d = DecimalNumber(rng.choice((1, -1)), scalar or (0,), point, base)
+            d = read(rng.choice((1, -1)), scalar or (0,), point, base)
             # with and without the valuation already cached on the word
             word = CircularWord(digits, base)
             if rng.random() < 0.5:

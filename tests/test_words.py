@@ -10,12 +10,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cw, fw
+from conftest import cw
 from repetend import config, words
 from repetend.errors import CapacityError
 from repetend.words import (
     CircularWord,
-    FiniteWord,
     count_cyclic_binary_avoiding_11,
     digit_count,
     digits_to_int,
@@ -28,28 +27,31 @@ from repetend.words import (
 
 
 class TestValuation:
+    """A finite word is a tuple of letters, read by digits_to_int."""
+
     def test_base_ten_reading(self):
-        assert fw("873").valuation == 873
+        assert digits_to_int((8, 7, 3), 10) == 873
 
     def test_empty_word_is_zero(self):
-        assert FiniteWord((), 10).valuation == 0
+        assert digits_to_int((), 10) == 0
 
     def test_base_seven(self):
-        assert fw("15", base=7).valuation == 12
+        assert digits_to_int((1, 5), 7) == 12
 
     def test_bijective_without_leading_zeros(self):
         seen = {}
         for length in range(1, 4):
             for n in range(5 ** (length - 1), 5**length):
-                word = FiniteWord(int_to_digits(n, 5, length), 5)
-                assert word.digits[0] != 0
-                assert word.valuation not in seen
-                seen[word.valuation] = word
+                word = int_to_digits(n, 5, length)
+                assert word[0] != 0
+                value = digits_to_int(word, 5)
+                assert value not in seen
+                seen[value] = word
         assert set(seen) == set(range(1, 125))
 
     def test_digit_validation(self):
         with pytest.raises(ValueError):
-            FiniteWord((7,), 5)
+            CircularWord((7,), 5)
         with pytest.raises(ValueError):
             CircularWord((), 10)
 
@@ -95,15 +97,16 @@ class TestPrimitivePeriod:
 
 class TestRepeat:
     def test_finite_repeat(self):
-        assert fw("9").repeat(3) == fw("999")
-        assert fw("01").repeat(2) == fw("0101")
+        # the word w**n is n copies of w's letters
+        assert cw("9").repeat(3) == cw("999")
+        assert cw("01").repeat(2) == cw("0101")
 
     def test_circular_repeat(self):
         assert cw("56").repeat(3) == cw("565656")
 
     def test_repeat_needs_positive_count(self):
         with pytest.raises(ValueError):
-            fw("1").repeat(0)
+            cw("1").repeat(0)
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=6), st.integers(1, 4))
     def test_valuation_of_repetition(self, digits, n):
